@@ -6,13 +6,10 @@ ranked ascending (early arrivals are negative, so lower is better).
 
 from __future__ import annotations
 
-import re
 import uuid
 from dataclasses import dataclass
 from random import Random
-from typing import Iterable, Optional, Sequence
-
-EXECUTION_ID_RE = re.compile(r"^[0-9a-f]{8}(-[0-9a-f]{4}){3}-[0-9a-f]{12}$")
+from typing import Iterable, Optional
 
 
 class DegenerateAggregateError(ValueError):
@@ -28,53 +25,6 @@ def new_execution_id(rng: Optional[Random] = None) -> str:
     if rng is None:
         return str(uuid.uuid4())
     return str(uuid.UUID(int=rng.getrandbits(128), version=4))
-
-
-def is_execution_id(value: str) -> bool:
-    return bool(EXECUTION_ID_RE.match(value))
-
-
-@dataclass(frozen=True, slots=True)
-class FlightRecord:
-    """One parsed CSV row.  ``valid`` is False when the delay is missing,
-    non-numeric, or the flight was cancelled."""
-
-    carrier: str
-    arr_delay_min: Optional[int]
-    valid: bool
-    extra: Optional[tuple[str, ...]] = None
-
-    def __post_init__(self):
-        if self.valid:
-            if self.arr_delay_min is None:
-                raise ValueError("valid record requires a delay value")
-            if not self.carrier:
-                raise ValueError("valid record requires a carrier code")
-
-
-@dataclass(frozen=True, slots=True)
-class MicroBatch:
-    """An execution-scoped slice of records; the unit of queue transport."""
-
-    execution_id: str
-    seq: int
-    source_file: str
-    records: tuple[FlightRecord, ...]
-
-    def __post_init__(self):
-        if self.seq < 0:
-            raise ValueError("seq must be non-negative")
-        if len(self.records) < 1:
-            raise ValueError("micro-batch must hold at least one record")
-
-
-@dataclass(slots=True)
-class JobCounters:
-    """The atomic-counter pair the reduce gate compares."""
-
-    id: str
-    ingested: int = 0
-    mapped: int = 0
 
 
 @dataclass(frozen=True, slots=True)
@@ -120,13 +70,3 @@ def rank_carriers(aggs: Iterable[CarrierAggregate], limit: int = 10) -> RankingR
     )
     entries = tuple((carrier, perf) for perf, carrier in ranked[:limit])
     return RankingResult(entries=entries, limit=limit)
-
-
-def merge_aggregates(parts: Sequence[tuple[int, int]]) -> tuple[int, int]:
-    """Merge (delay_sum, count) partials; addition keeps this exact."""
-    total_sum = 0
-    total_count = 0
-    for s, c in parts:
-        total_sum += s
-        total_count += c
-    return total_sum, total_count

@@ -12,12 +12,13 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 from random import Random
 from typing import Optional, Sequence
 
 from . import kernels
-from .core import FlightRecord, RankingResult, CarrierAggregate, rank_carriers
+from .core import RankingResult, CarrierAggregate, rank_carriers
 
 REQUIRED_COLUMNS = ("UniqueCarrier", "ArrDelay", "Cancelled")
 
@@ -73,19 +74,19 @@ class ParsedFile:
     delays: list[int]
     stats: ParseStats
 
-    def records(self) -> list[FlightRecord]:
-        return [
-            FlightRecord(carrier=c, arr_delay_min=d, valid=True)
-            for c, d in zip(self.carriers, self.delays)
-        ]
-
 
 def _iter_rows(text: str):
+    reader = csv.reader(io.StringIO(text))
+    consumed = 0  # source lines behind the last record yielded
     try:
-        yield from csv.reader(io.StringIO(text))
+        for row in reader:
+            consumed = reader.line_num
+            yield row
     except csv.Error:
-        # Fall back to a naive split so hostile bytes still parse totally.
-        for line in text.splitlines():
+        # Fall back to a naive split so hostile bytes still parse totally,
+        # resuming at the first record the reader did not yield.
+        offset = sum(len(line) for line in islice(io.StringIO(text), consumed))
+        for line in text[offset:].splitlines():
             yield line.split(",")
 
 

@@ -1,23 +1,17 @@
 """Row-scan and group-by kernels with a compiled fast path.
 
 The Cython build (``_speedups``) is preferred when importable; the
-pure-Python module is the behavioral reference and the fallback.  Set
-``MICROREDUCE_PURE_PYTHON=1`` to force the fallback.
+pure-Python module is the behavioral reference and the fallback.
 """
 
 from __future__ import annotations
 
-import os
-
 from . import pykernels
 
-if os.environ.get("MICROREDUCE_PURE_PYTHON") == "1":
-    _impl = pykernels
-else:
-    try:
-        from . import _speedups as _impl  # type: ignore[no-redef]
-    except ImportError:
-        _impl = pykernels
+try:
+    from . import _speedups as _impl
+except ImportError:
+    _impl = pykernels  # type: ignore[no-redef]
 
 scan_rows = _impl.scan_rows
 group_rows = _impl.group_rows

@@ -14,8 +14,6 @@ from typing import Optional
 from .runtime import StorageClients
 from .storage import KvItem
 
-SHUFFLE_DOC_FIELDS = ("execution_id", "partition_key", "instance_id", "delay_sum", "count")
-
 
 @dataclass(frozen=True, slots=True)
 class ShuffleEntry:
@@ -26,13 +24,10 @@ class ShuffleEntry:
     instance_id: str
     delay_sum: int
     count: int
-    rows: Optional[tuple[tuple[str, int], ...]] = None
 
     def __post_init__(self):
         if self.count < 1:
             raise ValueError("entry count must be >= 1")
-        if self.rows is not None and len(self.rows) != self.count:
-            raise ValueError("count must equal len(rows) when rows are retained")
 
     def to_doc(self) -> dict:
         return {

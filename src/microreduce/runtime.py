@@ -72,13 +72,6 @@ class RuntimeLimits:
     queue_scale_cap: int = 1000
 
 
-@dataclass(frozen=True, slots=True)
-class ColdStartModel:
-    warm_pool_idle_ms: float = 600_000.0
-    init_ms_mean: float = 850.0
-    init_ms_sigma: float = 40.0
-
-
 @dataclass(slots=True)
 class InvocationRecord:
     function: str
@@ -95,10 +88,6 @@ class InvocationRecord:
     error: Optional[str] = None
     exception: Any = None
     result: Any = None
-
-
-def write_ledger_csv(records: list[InvocationRecord], path: Path | str) -> None:
-    Path(path).write_text(render_ledger_csv(records), encoding="utf-8")
 
 
 def render_ledger_csv(records: list[InvocationRecord]) -> str:
@@ -147,9 +136,11 @@ def load_ledger_csv(path: Path | str) -> list[InvocationRecord]:
 class StorageClients:
     """Latency-charging facades over the storage backends.
 
-    Every method is a generator: it advances the virtual clock by the
-    op's modeled latency, then applies the op, so state changes land at
-    the op's completion instant.
+    Every method is a generator that advances the virtual clock by the op's
+    modeled latency.  A read queries its backend once, at call time, prices
+    that result and returns it after the latency; a missing object key
+    raises before any time passes.  A write applies after the latency, so
+    its state change lands at the op's completion instant.
     """
 
     def __init__(
@@ -167,10 +158,9 @@ class StorageClients:
         self.queue = queue
 
     def object_get(self, key: str, store: Optional[ObjectStore] = None):
-        store = store or self.objects
-        size = store.size(key)  # missing key fails at call time
-        yield self.cal.object_get_ms(size)
-        return store.get(key)
+        body = (store or self.objects).get(key)
+        yield self.cal.object_get_ms(len(body))
+        return body
 
     def raw_object_get(self, key: str):
         return self.object_get(key, store=self.raw_objects)
@@ -185,9 +175,9 @@ class StorageClients:
         self.objects.delete(key)
 
     def object_list(self, prefix: str):
-        approx = len(self.objects.list(prefix))
-        yield self.cal.object_list_ms(approx)
-        return self.objects.list(prefix)
+        keys = self.objects.list(prefix)
+        yield self.cal.object_list_ms(len(keys))
+        return keys
 
     def kv_put(self, item):
         yield self.cal.kv_put_ms
@@ -198,14 +188,14 @@ class StorageClients:
         self.kv.delete_item(hash_key, sort_key)
 
     def kv_query_lsi(self, hash_key: str, lsi_sort_key: str):
-        approx = len(self.kv.query_lsi(hash_key, lsi_sort_key))
-        yield self.cal.kv_query_ms(approx)
-        return self.kv.query_lsi(hash_key, lsi_sort_key)
+        items = self.kv.query_lsi(hash_key, lsi_sort_key)
+        yield self.cal.kv_query_ms(len(items))
+        return items
 
     def kv_scan(self, hash_key: str):
-        approx = len(self.kv.scan(hash_key))
-        yield self.cal.kv_query_ms(approx)
-        return self.kv.scan(hash_key)
+        items = self.kv.scan(hash_key)
+        yield self.cal.kv_query_ms(len(items))
+        return items
 
     def counter_add(self, execution_id: str, fieldname: str, delta: int):
         yield self.cal.counter_add_ms
@@ -220,9 +210,9 @@ class StorageClients:
         self.kv.put_result(execution_id, carrier, delay_sum, count)
 
     def results_list(self, execution_id: str):
-        approx = len(self.kv.list_results(execution_id))
-        yield self.cal.kv_query_ms(approx)
-        return self.kv.list_results(execution_id)
+        rows = self.kv.list_results(execution_id)
+        yield self.cal.kv_query_ms(len(rows))
+        return rows
 
     def queue_send(self, body: str):
         yield self.cal.queue_send_ms
@@ -287,20 +277,13 @@ class FunctionRuntime:
         self,
         sim: Simulator,
         clients: StorageClients,
-        cal: Optional[CalibrationTable] = None,
         limits: RuntimeLimits = RuntimeLimits(),
-        cold_start: Optional[ColdStartModel] = None,
         seed: int = 0,
     ):
         self.sim = sim
         self.clients = clients
-        self.cal = cal or clients.cal
+        self.cal = clients.cal
         self.limits = limits
-        self.cold_start = cold_start or ColdStartModel(
-            warm_pool_idle_ms=self.cal.warm_pool_idle_ms,
-            init_ms_mean=self.cal.init_ms_mean,
-            init_ms_sigma=self.cal.init_ms_sigma,
-        )
         self.ledger: list[InvocationRecord] = []
         self._pools: dict[str, list[float]] = {}
         self._init_rngs: dict[str, Random] = {}
@@ -328,13 +311,13 @@ class FunctionRuntime:
             if expiry >= now:
                 return False, 0.0
         init = max(0.0, self._init_rng(fn.name).gauss(
-            self.cold_start.init_ms_mean, self.cold_start.init_ms_sigma))
+            self.cal.init_ms_mean, self.cal.init_ms_sigma))
         self.cold_start_count += 1
         return True, init
 
     def _release_instance(self, fn: FunctionConfig) -> None:
         self._pools.setdefault(fn.name, []).append(
-            self.sim.now() + self.cold_start.warm_pool_idle_ms
+            self.sim.now() + self.cal.warm_pool_idle_ms
         )
 
     # -- invocation ---------------------------------------------------------
@@ -515,14 +498,3 @@ class QueueSource:
                 if record.outcome == "ok":
                     yield from clients.queue_delete(msg.receipt)
                 # otherwise leave it; visibility expiry redelivers or retires
-
-
-def concurrency_integral_check(records: list[InvocationRecord]) -> tuple[float, float]:
-    """(series integral, summed durations) over the handler windows; equal by
-    construction, kept as a unit-consistency audit."""
-    from .report import concurrency_series
-
-    series = concurrency_series(records)
-    integral = sum(active for _, active in series) * 1000.0
-    total = sum(r.duration_ms for r in records)
-    return integral, total

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import re
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -19,10 +18,6 @@ from random import Random
 from typing import Callable, Optional
 
 Clock = Callable[[], float]
-
-OBJECT_KEY_RE = re.compile(
-    r"^[0-9a-f-]{36}/[^/]+/[0-9a-f-]{36}\.json$"
-)
 
 
 def _zero_clock() -> float:
@@ -35,11 +30,6 @@ class StorageFaultError(RuntimeError):
 
 class ThrottledError(RuntimeError):
     """Write rejected by the provisioning throttle; store unchanged."""
-
-
-def is_shuffle_object_key(key: str) -> bool:
-    """Keys look like ``{execution_id}/{partition_key}/{instance_id}.json``."""
-    return bool(OBJECT_KEY_RE.match(key))
 
 
 # -- token bucket ----------------------------------------------------------

@@ -13,7 +13,6 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
-from pathlib import Path
 from random import Random
 from typing import Optional
 
@@ -34,7 +33,6 @@ from .runtime import (
     FunctionConfig,
     FunctionRuntime,
     InvocationRecord,
-    RuntimeLimits,
     StorageClients,
 )
 from .scenarios import ScenarioConfig
@@ -56,61 +54,6 @@ PAYLOAD_LIMIT_BYTES = 262_144
 
 class IncompleteTraceError(ValueError):
     pass
-
-
-@dataclass(frozen=True, slots=True)
-class StateDef:
-    name: str
-    kind: str  # task | parallel-map | wait-loop
-    target: str
-    fan_out: Optional[str] = None
-
-    def __post_init__(self):
-        if self.kind not in ("task", "parallel-map", "wait-loop"):
-            raise ValueError(f"unknown state kind {self.kind!r}")
-        if self.kind == "parallel-map" and not self.fan_out:
-            raise ValueError(f"parallel-map state {self.name!r} needs a fan-out source")
-
-
-DEFAULT_STATES: tuple[StateDef, ...] = (
-    StateDef("ParallelIngest", "parallel-map", "ingest", fan_out="files"),
-    StateDef("ReducePrep", "task", "partition-snapshot"),
-    StateDef("ReduceGate", "wait-loop", "gate"),
-    StateDef("ParallelReduceAggregate", "parallel-map", "reduce1", fan_out="partitions"),
-    StateDef("ReduceRank", "task", "reduce2"),
-)
-
-
-@dataclass(frozen=True)
-class WorkflowDefinition:
-    states: tuple[StateDef, ...] = DEFAULT_STATES
-    payload_limit_bytes: int = PAYLOAD_LIMIT_BYTES
-
-    def __post_init__(self):
-        if not self.states:
-            raise ValueError("workflow needs at least one state")
-        names = [s.name for s in self.states]
-        if len(set(names)) != len(names):
-            raise ValueError("duplicate state names")
-
-    @staticmethod
-    def from_text(text: str) -> "WorkflowDefinition":
-        """Parse the declarative list: one ``name kind target [fan-out]`` per line."""
-        states = []
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) not in (3, 4):
-                raise ValueError(f"bad state line: {line!r}")
-            states.append(StateDef(parts[0], parts[1], parts[2],
-                                   parts[3] if len(parts) == 4 else None))
-        return WorkflowDefinition(states=tuple(states))
-
-    @staticmethod
-    def load(path: Path | str) -> "WorkflowDefinition":
-        return WorkflowDefinition.from_text(Path(path).read_text(encoding="utf-8"))
 
 
 @dataclass(slots=True)
@@ -232,10 +175,6 @@ class JobResult:
     audit: AuditLog
     scenario: ScenarioConfig
 
-    @property
-    def exit_ok(self) -> bool:
-        return self.status == "completed"
-
 
 class _JobFailed(Exception):
     def __init__(self, reason: str):
@@ -247,12 +186,9 @@ class _Job:
     """Mutable wiring for one execution."""
 
     def __init__(self, scenario: ScenarioConfig, raw_store: ObjectStore,
-                 file_keys: list[str], cal: CalibrationTable,
-                 definition: WorkflowDefinition,
-                 limits: RuntimeLimits):
+                 file_keys: list[str], cal: CalibrationTable):
         self.scenario = scenario
         self.cal = cal
-        self.definition = definition
         seed = scenario.seed
         self.sim = Simulator(interleave_seed=scenario.interleave_seed)
         self.execution_id = new_execution_id(Random(("execution", seed).__repr__()))
@@ -269,8 +205,7 @@ class _Job:
                                       kv=self.kv, queue=self.queue)
         self.audit = AuditLog(self.sim.now)
         self.port = make_adapter(scenario.shuffle_system, self.clients, self.audit)
-        self.runtime = FunctionRuntime(self.sim, self.clients, cal,
-                                       limits=limits, seed=seed)
+        self.runtime = FunctionRuntime(self.sim, self.clients, seed=seed)
         self.env = PipelineEnv(clients=self.clients, port=self.port,
                                batch_size=scenario.batch_size,
                                map_failure_rate=scenario.map_failure_rate,
@@ -302,10 +237,10 @@ class _Job:
 
     def check_payload(self, items) -> None:
         size = len(json.dumps(items).encode("utf-8"))
-        if size > self.definition.payload_limit_bytes:
+        if size > PAYLOAD_LIMIT_BYTES:
             raise _JobFailed(
                 f"state payload of {size} bytes exceeds the "
-                f"{self.definition.payload_limit_bytes}-byte limit"
+                f"{PAYLOAD_LIMIT_BYTES}-byte limit"
             )
 
 
@@ -437,13 +372,9 @@ def run_job(
     raw_store: ObjectStore,
     file_keys: Optional[list[str]] = None,
     cal: Optional[CalibrationTable] = None,
-    definition: Optional[WorkflowDefinition] = None,
-    limits: Optional[RuntimeLimits] = None,
 ) -> JobResult:
     """Execute one job end to end on a fresh virtual timeline."""
     cal = cal or DEFAULT_CALIBRATION
-    definition = definition or WorkflowDefinition()
-    limits = limits or RuntimeLimits()
     if file_keys is None:
         available = raw_store.list()
         if len(available) < scenario.files:
@@ -454,7 +385,7 @@ def run_job(
     if not file_keys:
         raise ValueError("no input files")
 
-    job = _Job(scenario, raw_store, file_keys, cal, definition, limits)
+    job = _Job(scenario, raw_store, file_keys, cal)
     source = job.runtime.attach_queue_source(
         job.fn_map, job.queue, map_handler, batch_size=1, extras={"env": job.env}
     )

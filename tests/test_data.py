@@ -28,7 +28,7 @@ class TestParse:
     def test_header_only_file(self):
         parsed = parse_csv(CSV_HEADER + "\n")
         assert parsed.stats.total_rows == 0
-        assert parsed.records() == []
+        assert parsed.carriers == [] and parsed.delays == []
 
     def test_single_row_maps_directly(self):
         row = ",".join(
@@ -38,8 +38,7 @@ class TestParse:
         )
         parsed = parse_csv(CSV_HEADER + "\n" + row + "\n")
         assert parsed.stats.valid_rows == 1
-        record = parsed.records()[0]
-        assert (record.carrier, record.arr_delay_min, record.valid) == ("AA", 15, True)
+        assert (parsed.carriers, parsed.delays) == (["AA"], [15])
 
     def test_missing_required_column_is_an_error(self):
         with pytest.raises(MissingColumnError):
@@ -52,6 +51,19 @@ class TestParse:
         parsed = parse_csv(body)
         assert parsed.stats.invalid_rows == 1
         assert parsed.stats.total_rows == 1
+
+    def test_reader_error_resumes_after_last_yielded_row(self):
+        # csv.reader rejects the 200,000-character field part-way through
+        # the file; the fallback must not count the header and the rows
+        # already read a second time.
+        row = ",".join(
+            ["2001", "5", "9", "3", "900", "855", "1100", "1045", "AA", "100",
+             "N1AA", "120", "110", "100", "15", "5", "ORD", "DFW", "800", "5",
+             "10", "0", "", "0", "0", "0", "0", "0", "0"]
+        )
+        body = "\n".join([CSV_HEADER, row, row, row, '"' + "x" * 200_000 + '"']) + "\n"
+        stats = parse_csv(body).stats
+        assert (stats.total_rows, stats.valid_rows) == (4, 3)
 
     def test_generated_file_matches_ledger_exactly(self):
         store = ObjectStore()

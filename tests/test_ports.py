@@ -9,8 +9,6 @@ from microreduce.ports import (
     make_adapter,
     object_key_for,
 )
-from microreduce.storage import is_shuffle_object_key
-
 from conftest import drain, make_clients
 
 EID = "0a632a0b-68c6-4875-9ba0-0f2bcd9bd556"
@@ -32,12 +30,6 @@ def test_entry_doc_field_names_are_frozen():
 def test_object_key_layout():
     key = object_key_for(entry())
     assert key == f"{EID}/AA/{IID}.json"
-    assert is_shuffle_object_key(key)
-
-
-def test_entry_count_must_match_rows():
-    with pytest.raises(ValueError):
-        ShuffleEntry(EID, "AA", IID, 5, 2, rows=(("AA", 5),))
 
 
 @pytest.mark.parametrize("kind", ["object", "kv"])

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -13,7 +14,6 @@ from microreduce.calibration import (
     vcpus,
 )
 from microreduce.runtime import (
-    ColdStartModel,
     FunctionConfig,
     FunctionRuntime,
     RuntimeLimits,
@@ -22,21 +22,19 @@ from microreduce.runtime import (
     render_ledger_csv,
 )
 from microreduce.sim import Simulator
-from microreduce.storage import KvStore, MessageQueue, ObjectStore
+from microreduce.storage import KvItem, KvStore, MessageQueue, ObjectStore
 
 
-def make_runtime(seed=0, limits=None, cold=None, cal=None, sim=None):
+def make_runtime(seed=0, limits=None, cal=None, sim=None):
     sim = sim or Simulator()
-    cal = cal or DEFAULT_CALIBRATION
     clients = StorageClients(
-        cal,
+        cal or DEFAULT_CALIBRATION,
         objects=ObjectStore(),
         raw_objects=ObjectStore(),
         kv=KvStore(clock=sim.now),
         queue=MessageQueue(clock=sim.now),
     )
-    return FunctionRuntime(sim, clients, cal, limits=limits or RuntimeLimits(),
-                           cold_start=cold, seed=seed)
+    return FunctionRuntime(sim, clients, limits=limits or RuntimeLimits(), seed=seed)
 
 
 def busy_handler(units):
@@ -162,7 +160,8 @@ class TestInvocation:
 
     def test_instance_expires_after_idle_window(self):
         sim = Simulator()
-        rt = make_runtime(sim=sim, cold=ColdStartModel(warm_pool_idle_ms=1_000))
+        rt = make_runtime(sim=sim,
+                          cal=replace(DEFAULT_CALIBRATION, warm_pool_idle_ms=1_000))
         fn = FunctionConfig("fn", 1024)
         rt.run_single(fn, busy_handler(5.0), {})
 
@@ -176,7 +175,7 @@ class TestInvocation:
         assert proc.result.cold_start
 
     def test_serial_invocations_single_cold_start_with_infinite_idle(self):
-        rt = make_runtime(cold=ColdStartModel(warm_pool_idle_ms=math.inf))
+        rt = make_runtime(cal=replace(DEFAULT_CALIBRATION, warm_pool_idle_ms=math.inf))
         fn = FunctionConfig("fn", 1024)
         records = [rt.run_single(fn, busy_handler(1.0), {}) for _ in range(10)]
         assert sum(r.cold_start for r in records) == 1
@@ -231,7 +230,7 @@ class TestConcurrencyCeiling:
     def test_cap_enforced_and_fifo(self):
         sim = Simulator()
         rt = make_runtime(sim=sim, limits=RuntimeLimits(account_concurrency=3),
-                          cold=ColdStartModel(init_ms_sigma=0.0))
+                          cal=replace(DEFAULT_CALIBRATION, init_ms_sigma=0.0))
         fn = FunctionConfig("fn", 1024)
         order = []
 
@@ -251,7 +250,8 @@ class TestConcurrencyCeiling:
     def test_queued_invocations_not_billed_for_waiting(self):
         sim = Simulator()
         rt = make_runtime(sim=sim, limits=RuntimeLimits(account_concurrency=1),
-                          cold=ColdStartModel(init_ms_mean=0.0, init_ms_sigma=0.0))
+                          cal=replace(DEFAULT_CALIBRATION, init_ms_mean=0.0,
+                                      init_ms_sigma=0.0))
         fn = FunctionConfig("fn", 1024)
         procs = [rt.invoke(fn, busy_handler(100.0), {}) for _ in range(3)]
         sim.run(until=sim.all_of(procs))
@@ -325,3 +325,83 @@ class TestQueueSourceScaling:
     def test_growth_respects_cap(self):
         source = self.run_pool(minutes=10, backlog=100_000, cap=150)
         assert source.pool_size == 150
+
+
+class CountingObjectStore(ObjectStore):
+    def __init__(self):
+        super().__init__()
+        self.queries = 0
+
+    def get(self, key):
+        self.queries += 1
+        return super().get(key)
+
+    def list(self, prefix=""):
+        self.queries += 1
+        return super().list(prefix)
+
+
+class CountingKvStore(KvStore):
+    def __init__(self):
+        super().__init__()
+        self.queries = 0
+
+    def query_lsi(self, hash_key, lsi_sort_key):
+        self.queries += 1
+        return super().query_lsi(hash_key, lsi_sort_key)
+
+    def scan(self, hash_key):
+        self.queries += 1
+        return super().scan(hash_key)
+
+    def list_results(self, execution_id):
+        self.queries += 1
+        return super().list_results(execution_id)
+
+
+def counting_clients():
+    objects, kv = CountingObjectStore(), CountingKvStore()
+    for key, size in (("e/AA/1.json", 5_000), ("e/AA/2.json", 10), ("e/UA/1.json", 10)):
+        objects.put(key, b"x" * size)
+    for sort_key, pk in (("i1#AA", "AA"), ("i2#AA", "AA"), ("i1#UA", "UA")):
+        kv.put_item(KvItem("e", sort_key, pk, {}))
+    for carrier in ("AA", "UA"):
+        kv.put_result("e", carrier, 10, 2)
+    clients = StorageClients(DEFAULT_CALIBRATION, objects=objects, kv=kv)
+    return clients, objects, kv
+
+
+READ_FACADES = {
+    "object_get": (lambda c: c.object_get("e/AA/1.json"),
+                   lambda cal, body: cal.object_get_ms(len(body))),
+    "object_list": (lambda c: c.object_list("e/"),
+                    lambda cal, keys: cal.object_list_ms(len(keys))),
+    "kv_query_lsi": (lambda c: c.kv_query_lsi("e", "AA"),
+                     lambda cal, items: cal.kv_query_ms(len(items))),
+    "kv_scan": (lambda c: c.kv_scan("e"),
+                lambda cal, items: cal.kv_query_ms(len(items))),
+    "results_list": (lambda c: c.results_list("e"),
+                     lambda cal, rows: cal.kv_query_ms(len(rows))),
+}
+
+
+@pytest.mark.parametrize("facade", sorted(READ_FACADES))
+def test_read_facade_queries_once_and_prices_its_result(facade):
+    call, price = READ_FACADES[facade]
+    clients, objects, kv = counting_clients()
+    gen = call(clients)
+    latencies = []
+    try:
+        while True:
+            latencies.append(next(gen))
+    except StopIteration as stop:
+        result = stop.value
+    assert result
+    assert objects.queries + kv.queries == 1
+    assert latencies == [price(clients.cal, result)]
+
+
+def test_object_get_missing_key_raises_before_yield():
+    clients, _, _ = counting_clients()
+    with pytest.raises(KeyError):
+        next(clients.object_get("e/AA/missing.json"))

@@ -13,7 +13,6 @@ from microreduce.storage import (
     ThrottledError,
     ThrottlePolicy,
     TokenBucket,
-    is_shuffle_object_key,
 )
 
 from conftest import FakeClock
@@ -54,14 +53,6 @@ class TestObjectStore:
         store.put("run/AA/x.json", b"{}")
         store.dump_to_dir(tmp_path)
         assert (tmp_path / "run" / "AA" / "x.json").read_bytes() == b"{}"
-
-
-def test_shuffle_key_shape():
-    eid = "0" * 8 + "-" + "-".join(["0" * 4] * 3) + "-" + "0" * 12
-    good = f"{eid}/AA/{eid}.json"
-    assert is_shuffle_object_key(good)
-    assert not is_shuffle_object_key(f"{eid}/AA/extra/{eid}.json")
-    assert not is_shuffle_object_key(f"{eid}/AA/{eid}.txt")
 
 
 class TestTokenBucket:

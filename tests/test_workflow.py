@@ -4,10 +4,7 @@ from microreduce.data import GenSpec, generate_dataset
 from microreduce.scenarios import ScenarioConfig, preset
 from microreduce.storage import ObjectStore
 from microreduce.workflow import (
-    DEFAULT_STATES,
     IncompleteTraceError,
-    StateDef,
-    WorkflowDefinition,
     phase_breakdown,
     phase_breakdown_from_durations,
     run_job,
@@ -196,27 +193,3 @@ class TestPhaseBreakdown:
                          raw)
         with pytest.raises(IncompleteTraceError):
             phase_breakdown(result.trace)
-
-
-class TestWorkflowDefinition:
-    def test_default_states_shape(self):
-        definition = WorkflowDefinition()
-        kinds = [s.kind for s in definition.states]
-        assert kinds == ["parallel-map", "task", "wait-loop", "parallel-map", "task"]
-        assert definition.payload_limit_bytes == 262_144
-
-    def test_text_round_trip(self):
-        text = "\n".join(
-            f"{s.name} {s.kind} {s.target}" + (f" {s.fan_out}" if s.fan_out else "")
-            for s in DEFAULT_STATES
-        )
-        parsed = WorkflowDefinition.from_text("# comment\n" + text + "\n")
-        assert parsed.states == DEFAULT_STATES
-
-    def test_bad_lines_rejected(self):
-        with pytest.raises(ValueError):
-            WorkflowDefinition.from_text("OnlyTwo fields\n")
-        with pytest.raises(ValueError):
-            StateDef("X", "parallel-map", "t")  # fan-out required
-        with pytest.raises(ValueError):
-            WorkflowDefinition(states=(DEFAULT_STATES[0], DEFAULT_STATES[0]))
