@@ -158,7 +158,7 @@ class StorageClients:
         self.queue = queue
 
     def object_get(self, key: str, store: Optional[ObjectStore] = None):
-        body = (store or self.objects).get(key)
+        body = (store if store is not None else self.objects).get(key)
         yield self.cal.object_get_ms(len(body))
         return body
 
@@ -166,7 +166,8 @@ class StorageClients:
         return self.object_get(key, store=self.raw_objects)
 
     def object_put(self, key: str, body: bytes, store: Optional[ObjectStore] = None):
-        store = store or self.objects
+        if store is None:
+            store = self.objects
         yield self.cal.object_put_ms(len(body))
         store.put(key, body)
 
@@ -428,6 +429,15 @@ class QueueSource:
 
     The pool starts at one consumer and, while a backlog is visible at the
     minute mark, grows by ``queue_scale_per_min`` up to ``queue_scale_cap``.
+
+    A consumer that receives nothing polls again ``consumer_poll_interval_ms``
+    later, and its receive lands ``queue_receive_ms`` after that.  Instead of
+    running those empty polls, an idle consumer sleeps to the exact instant
+    it would next have polled at or after the next send or the earliest
+    visibility deadline, since nothing becomes visible in between, and
+    receives there.  Every receive that delivers, and every sweep that
+    expires a message, happens at the instant polling would give, so the
+    ledger and the trace equal those of polling at every tick.
     """
 
     def __init__(
@@ -453,13 +463,20 @@ class QueueSource:
         self.pool_history: list[tuple[float, int]] = []
         self._stopped = False
         self._procs: list[Process] = []
+        self._awaiting_send: dict[_IdleConsumer, None] = {}  # in order of sleep
 
     def start(self) -> None:
+        self.queue.add_send_listener(self._on_send)
         self._grow(1)
         self._procs.append(self.runtime.sim.spawn(self._manager(), name="queue-scaler"))
 
     def stop(self) -> None:
         self._stopped = True
+
+    def _on_send(self) -> None:
+        waiting, self._awaiting_send = self._awaiting_send, {}
+        for idle in waiting:
+            idle.on_send()
 
     def _grow(self, n: int) -> None:
         sim = self.runtime.sim
@@ -482,12 +499,10 @@ class QueueSource:
 
     def _consumer(self):
         clients = self.runtime.clients
-        poll = self.runtime.cal.consumer_poll_interval_ms
         while not self._stopped:
             messages = yield from clients.queue_receive(self.batch_size)
             if not messages:
-                yield poll
-                continue
+                messages = yield _IdleConsumer(self, self.runtime.sim.now()).delivered
             for msg in messages:
                 payload = self.decode(msg.body)
                 execution_id = payload.get("execution_id", "") if isinstance(payload, dict) else ""
@@ -498,3 +513,62 @@ class QueueSource:
                 if record.outcome == "ok":
                     yield from clients.queue_delete(msg.receipt)
                 # otherwise leave it; visibility expiry redelivers or retires
+
+
+class _IdleConsumer:
+    """One consumer asleep after an empty receive, until a receive delivers.
+
+    Its would-be receive instants follow ``t <- (t + poll) + receive_ms``
+    from its last receive, replayed with the same float additions.  It
+    wakes at the first of them at or after the earliest visibility deadline,
+    or, sooner, after the next send; a wake that receives nothing starts the
+    count again from there.  ``delivered`` fires with the messages, or with
+    none once the source has stopped.
+    """
+
+    __slots__ = ("source", "last", "wake_at", "handle", "delivered")
+
+    def __init__(self, source: QueueSource, last: float):
+        self.source = source
+        self.last = last
+        self.wake_at: Optional[float] = None
+        self.handle: Optional[list] = None
+        self.delivered = source.runtime.sim.event()
+        self._sleep()
+
+    def _tick_at_or_after(self, instant: float) -> float:
+        cal = self.source.runtime.cal
+        poll, receive = cal.consumer_poll_interval_ms, cal.queue_receive_ms
+        t = (self.last + poll) + receive
+        while t < instant:
+            t = (t + poll) + receive
+        return t
+
+    def _schedule(self, tick: float) -> None:
+        sim = self.source.runtime.sim
+        if self.handle is not None:
+            sim.cancel(self.handle)
+        self.wake_at = tick
+        self.handle = sim.call_at(tick, self._wake)
+
+    def _sleep(self) -> None:
+        deadline = self.source.queue.next_deadline()
+        if deadline is not None:
+            self._schedule(self._tick_at_or_after(deadline))
+        self.source._awaiting_send[self] = None
+
+    def on_send(self) -> None:
+        tick = self._tick_at_or_after(self.source.runtime.sim.now())
+        if self.wake_at is None or tick < self.wake_at:
+            self._schedule(tick)
+
+    def _wake(self) -> None:
+        self.handle = self.wake_at = None
+        source = self.source
+        messages = [] if source._stopped else source.queue.receive(source.batch_size)
+        if messages or source._stopped:
+            source._awaiting_send.pop(self, None)
+            self.delivered.trigger(messages)
+        else:
+            self.last = source.runtime.sim.now()
+            self._sleep()

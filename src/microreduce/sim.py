@@ -121,14 +121,22 @@ class Simulator:
     def _push(self, delay: float, action: Callable[[], None]) -> list:
         if delay < 0:
             raise SimError(f"negative delay {delay}")
-        jitter = self._tiebreak.random() if self._tiebreak is not None else 0.0
-        entry = [self._now + delay, jitter, next(self._seq), action]
-        heapq.heappush(self._heap, entry)
-        return entry
+        return self.call_at(self._now + delay, action)
 
     def call_in(self, delay: float, fn: Callable[[], None]) -> list:
         """Run ``fn`` after ``delay`` ms.  Returns a cancellable handle."""
         return self._push(delay, fn)
+
+    def call_at(self, when: float, fn: Callable[[], None]) -> list:
+        """Run ``fn`` at the absolute instant ``when``.  Returns a cancellable
+        handle.  ``now + (when - now)`` can differ from ``when`` in the last
+        bit, so callers that must land on an exact instant use this."""
+        if when < self._now:
+            raise SimError(f"instant {when} is before now {self._now}")
+        jitter = self._tiebreak.random() if self._tiebreak is not None else 0.0
+        entry = [when, jitter, next(self._seq), fn]
+        heapq.heappush(self._heap, entry)
+        return entry
 
     @staticmethod
     def cancel(handle: list) -> None:

@@ -9,6 +9,7 @@ virtual timeline.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import json
 import threading
@@ -250,9 +251,15 @@ class ReceivedMessage:
 class MessageQueue:
     """At-least-once queue with visibility timeout and dead-letter routing.
 
-    A message delivered ``max_receives`` times without being deleted moves
-    to the DLQ when its last visibility timeout expires.  Receipts are
-    single-use tokens, so concurrent consumers cannot double-delete.
+    ``receive`` hands out visible messages lowest id first, so a redelivered
+    message goes out before any message sent after it.  A message delivered
+    ``max_receives`` times without being deleted moves to the DLQ when its
+    last visibility timeout expires; the expiries one call finds are applied
+    in id order.  Receipts are single-use tokens, so concurrent consumers
+    cannot double-delete.  Visible ids sit in a heap and visibility
+    deadlines in another, so each operation costs O(log n) in the queue's
+    size; a deleted message's deadline leaves the heap once it reaches the
+    top.
     """
 
     def __init__(
@@ -266,10 +273,12 @@ class MessageQueue:
         self.max_receives = max_receives
         self._lock = threading.RLock()
         self._entries: dict[int, _QueueEntry] = {}
-        self._order: list[int] = []
+        self._visible: list[int] = []  # heap of ids
+        self._deadlines: list[tuple[float, int, int]] = []  # (visible_at, id, receipt)
         self._ids = itertools.count(1)
         self._receipts = itertools.count(1)
-        self._receipt_to_id: dict[int, int] = {}
+        self._receipt_to_id: dict[int, int] = {}  # receipts of messages in flight
+        self._send_listeners: list[Callable[[], None]] = []
         self.dlq_bodies: list[str] = []
         self.sent_count = 0
         self.deleted_count = 0
@@ -278,24 +287,50 @@ class MessageQueue:
         with self._lock:
             mid = next(self._ids)
             self._entries[mid] = _QueueEntry(body=body, enqueued_at=self._clock())
-            self._order.append(mid)
+            heapq.heappush(self._visible, mid)
             self.sent_count += 1
+        for fn in self._send_listeners:
+            fn()
 
-    def _sweep(self, now: float) -> None:
-        # Expire visibility; retire exhausted messages to the DLQ.
-        for mid in list(self._order):
+    def add_send_listener(self, fn: Callable[[], None]) -> None:
+        """Call ``fn`` right after every ``send`` has enqueued its message."""
+        self._send_listeners.append(fn)
+
+    def next_deadline(self) -> Optional[float]:
+        """The earliest visibility deadline of a message in flight, or None."""
+        with self._lock:
+            self._drop_deleted_deadlines()
+            return self._deadlines[0][0] if self._deadlines else None
+
+    def _drop_deleted_deadlines(self) -> None:
+        # Pop deadlines of deleted messages off the top of the heap.
+        deadlines = self._deadlines
+        while deadlines:
+            _, mid, receipt = deadlines[0]
             entry = self._entries.get(mid)
-            if entry is None:
-                continue
-            if entry.receipt is not None and now >= entry.visible_at:
-                entry.receipt = None
-                if entry.receive_count >= self.max_receives:
-                    self._retire(mid, entry)
+            if entry is not None and entry.receipt == receipt:
+                return
+            heapq.heappop(deadlines)
 
-    def _retire(self, mid: int, entry: _QueueEntry) -> None:
-        del self._entries[mid]
-        self._order.remove(mid)
-        self.dlq_bodies.append(entry.body)
+    def _expire(self, now: float) -> None:
+        # Make expired messages visible again; retire exhausted ones to the DLQ.
+        deadlines = self._deadlines
+        expired: list[int] = []
+        while deadlines and deadlines[0][0] <= now:
+            _, mid, receipt = heapq.heappop(deadlines)
+            entry = self._entries.get(mid)
+            if entry is not None and entry.receipt == receipt:
+                expired.append(mid)
+        expired.sort()
+        for mid in expired:
+            entry = self._entries[mid]
+            self._receipt_to_id.pop(entry.receipt, None)
+            entry.receipt = None
+            if entry.receive_count >= self.max_receives:
+                del self._entries[mid]
+                self.dlq_bodies.append(entry.body)
+            else:
+                heapq.heappush(self._visible, mid)
 
     def receive(self, max_messages: int = 1) -> list[ReceivedMessage]:
         if max_messages < 1:
@@ -303,18 +338,17 @@ class MessageQueue:
         now = self._clock()
         out: list[ReceivedMessage] = []
         with self._lock:
-            self._sweep(now)
-            for mid in self._order:
-                if len(out) >= max_messages:
-                    break
+            self._expire(now)
+            visible = self._visible
+            while visible and len(out) < max_messages:
+                mid = heapq.heappop(visible)
                 entry = self._entries[mid]
-                if entry.receipt is not None:
-                    continue  # in flight
                 receipt = next(self._receipts)
                 entry.receipt = receipt
                 entry.receive_count += 1
                 entry.visible_at = now + self.visibility_timeout_ms
                 self._receipt_to_id[receipt] = mid
+                heapq.heappush(self._deadlines, (entry.visible_at, mid, receipt))
                 out.append(
                     ReceivedMessage(receipt=receipt, body=entry.body,
                                     receive_count=entry.receive_count)
@@ -326,25 +360,22 @@ class MessageQueue:
         now = self._clock()
         with self._lock:
             mid = self._receipt_to_id.pop(receipt, None)
-            if mid is None:
-                return False
-            entry = self._entries.get(mid)
-            if entry is None or entry.receipt != receipt or now >= entry.visible_at:
+            if mid is None or now >= self._entries[mid].visible_at:
                 return False
             del self._entries[mid]
-            self._order.remove(mid)
             self.deleted_count += 1
+            self._drop_deleted_deadlines()
             return True
 
     def visible_count(self) -> int:
         now = self._clock()
         with self._lock:
-            self._sweep(now)
-            return sum(1 for e in self._entries.values() if e.receipt is None)
+            self._expire(now)
+            return len(self._visible)
 
     def in_flight_count(self) -> int:
         with self._lock:
-            return sum(1 for e in self._entries.values() if e.receipt is not None)
+            return len(self._entries) - len(self._visible)
 
     def __len__(self) -> int:
         with self._lock:

@@ -24,6 +24,8 @@ from microreduce.runtime import (
 from microreduce.sim import Simulator
 from microreduce.storage import KvItem, KvStore, MessageQueue, ObjectStore
 
+from conftest import drain
+
 
 def make_runtime(seed=0, limits=None, cal=None, sim=None):
     sim = sim or Simulator()
@@ -405,3 +407,82 @@ def test_object_get_missing_key_raises_before_yield():
     clients, _, _ = counting_clients()
     with pytest.raises(KeyError):
         next(clients.object_get("e/AA/missing.json"))
+
+
+def test_empty_explicit_store_is_not_swapped_for_the_shuffle_store():
+    # an empty ObjectStore is falsy (it has __len__); the facades must still
+    # use the store they are given
+    shuffle, raw = ObjectStore(), ObjectStore()
+    shuffle.put("part-0000.csv", b"shuffle body")
+    clients = StorageClients(DEFAULT_CALIBRATION, objects=shuffle, raw_objects=raw)
+    with pytest.raises(KeyError):
+        next(clients.raw_object_get("part-0000.csv"))
+    drain(clients.object_put("part-0001.csv", b"raw body", store=raw))
+    assert raw.list() == ["part-0001.csv"]
+    assert shuffle.list() == ["part-0000.csv"]
+
+
+class CountingQueue(MessageQueue):
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.receive_instants = []
+
+    def receive(self, max_messages=1):
+        self.receive_instants.append(self._clock())
+        return super().receive(max_messages)
+
+
+def test_idle_consumer_receives_at_its_poll_ticks_without_polling():
+    cal = replace(DEFAULT_CALIBRATION, init_ms_mean=0.0, init_ms_sigma=0.0)
+    poll, receive = cal.consumer_poll_interval_ms, cal.queue_receive_ms
+    # A's deadline lands exactly on a tick: 1408 + 19,950 = 1459 + 99 * 201
+    visibility, work = 19_950.0, 50.0
+
+    def first_tick(last, at_or_after):
+        # a polling consumer's receive instants after an empty receive at last
+        t = (last + poll) + receive
+        while t < at_or_after:
+            t = (t + poll) + receive
+        return t
+
+    sim = Simulator()
+    queue = CountingQueue(clock=sim.now, visibility_timeout_ms=visibility)
+    clients = StorageClients(cal, objects=ObjectStore(), kv=KvStore(clock=sim.now),
+                             queue=queue)
+    rt = FunctionRuntime(sim, clients)
+    failed = []
+
+    def handler(ctx, payload):
+        yield work
+        if payload["n"] == "A" and not failed:
+            failed.append(True)
+            raise RuntimeError("first attempt fails")
+        return None
+
+    sends = {"A": 1_234.5, "B": 100_000.75}
+
+    def sender():
+        for n, at in sends.items():
+            yield at - sim.now()
+            queue.send('{"execution_id": "e", "n": "%s"}' % n)
+
+    sim.spawn(sender())
+    source = rt.attach_queue_source(FunctionConfig("map", 1024), queue, handler)
+
+    # first receive at 1.0 finds nothing; A is taken at the first tick after
+    # its send, fails, and comes back at the first tick after its deadline
+    a1 = first_tick(1.0, sends["A"])
+    idle = (a1 + work) + receive
+    a2 = first_tick(idle, a1 + visibility)
+    idle = ((a2 + work) + cal.queue_delete_ms) + receive
+    b1 = first_tick(idle, sends["B"])
+    idle = ((b1 + work) + cal.queue_delete_ms) + receive
+    sim.run(max_time=idle + 300_000.0)
+    source.stop()
+
+    assert [(r.outcome, r.start_ms) for r in rt.ledger] == [
+        ("error", a1), ("ok", a2), ("ok", b1)]
+    assert source.pool_size == 1
+    assert len(queue) == 0 and queue.dlq_count() == 0
+    # a polling consumer would receive ~1,490 times in the idle stretch
+    assert len([t for t in queue.receive_instants if t > idle]) <= 3

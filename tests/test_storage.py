@@ -1,4 +1,7 @@
+import itertools
 import threading
+from dataclasses import dataclass
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +12,7 @@ from microreduce.storage import (
     KvStore,
     MessageQueue,
     ObjectStore,
+    ReceivedMessage,
     StorageFaultError,
     ThrottledError,
     ThrottlePolicy,
@@ -251,3 +255,144 @@ class TestQueue:
         q.receive()  # final sweep
         assert q.deleted_count + q.dlq_count() == n
         assert len(q) == 0
+
+
+# -- reference model for the queue ------------------------------------------
+
+
+@dataclass
+class _RefEntry:
+    body: str
+    receive_count: int = 0
+    visible_at: float = 0.0
+    receipt: Optional[int] = None
+
+
+class ListSweepQueue:
+    """The earlier MessageQueue, kept as the reference: ids in a list, and
+    every receive or visible count walks all of them to expire visibility."""
+
+    def __init__(self, clock, visibility_timeout_ms, max_receives):
+        self._clock = clock
+        self.visibility_timeout_ms = visibility_timeout_ms
+        self.max_receives = max_receives
+        self._entries: dict[int, _RefEntry] = {}
+        self._order: list[int] = []
+        self._ids = itertools.count(1)
+        self._receipts = itertools.count(1)
+        self._receipt_to_id: dict[int, int] = {}
+        self.dlq_bodies: list[str] = []
+        self.deleted_count = 0
+
+    def send(self, body):
+        mid = next(self._ids)
+        self._entries[mid] = _RefEntry(body=body)
+        self._order.append(mid)
+
+    def _sweep(self, now):
+        for mid in list(self._order):
+            entry = self._entries.get(mid)
+            if entry is None:
+                continue
+            if entry.receipt is not None and now >= entry.visible_at:
+                entry.receipt = None
+                if entry.receive_count >= self.max_receives:
+                    del self._entries[mid]
+                    self._order.remove(mid)
+                    self.dlq_bodies.append(entry.body)
+
+    def receive(self, max_messages=1):
+        now = self._clock()
+        out = []
+        self._sweep(now)
+        for mid in self._order:
+            if len(out) >= max_messages:
+                break
+            entry = self._entries[mid]
+            if entry.receipt is not None:
+                continue
+            receipt = next(self._receipts)
+            entry.receipt = receipt
+            entry.receive_count += 1
+            entry.visible_at = now + self.visibility_timeout_ms
+            self._receipt_to_id[receipt] = mid
+            out.append(ReceivedMessage(receipt, entry.body, entry.receive_count))
+        return out
+
+    def delete(self, receipt):
+        now = self._clock()
+        mid = self._receipt_to_id.pop(receipt, None)
+        if mid is None:
+            return False
+        entry = self._entries.get(mid)
+        if entry is None or entry.receipt != receipt or now >= entry.visible_at:
+            return False
+        del self._entries[mid]
+        self._order.remove(mid)
+        self.deleted_count += 1
+        return True
+
+    def visible_count(self):
+        self._sweep(self._clock())
+        return sum(1 for e in self._entries.values() if e.receipt is None)
+
+    def in_flight_count(self):
+        return sum(1 for e in self._entries.values() if e.receipt is not None)
+
+    def __len__(self):
+        return len(self._entries)
+
+
+QUEUE_OPS = st.one_of(
+    st.tuples(st.just("send")),
+    st.tuples(st.just("receive"), st.integers(1, 3)),
+    # receipts are drawn by index into those handed out so far (live,
+    # stale or already used), or one never handed out
+    st.tuples(st.just("delete"), st.integers(0, 40)),
+    st.tuples(st.just("advance"), st.sampled_from([0.0, 0.5, 99.0, 100.0, 101.0, 250.0])),
+    st.tuples(st.just("visible_count")),
+    # a new timeout applies to later receives only, so deadlines stop
+    # following delivery order
+    st.tuples(st.just("timeout"), st.sampled_from([50.0, 100.0, 200.0])),
+)
+
+
+@given(
+    ops=st.lists(QUEUE_OPS, max_size=80),
+    visibility=st.sampled_from([100.0, 200.0]),
+    max_receives=st.integers(1, 3),
+)
+@settings(max_examples=400, deadline=None)
+def test_queue_matches_list_sweep_reference(ops, visibility, max_receives):
+    clock = FakeClock()
+    q = MessageQueue(clock=clock, visibility_timeout_ms=visibility,
+                     max_receives=max_receives)
+    ref = ListSweepQueue(clock, visibility, max_receives)
+    receipts: list[int] = []
+    for n, (op, *args) in enumerate(ops):
+        if op == "send":
+            q.send(f"m{n}")
+            ref.send(f"m{n}")
+        elif op == "receive":
+            got = q.receive(args[0])
+            assert got == ref.receive(args[0])
+            receipts.extend(m.receipt for m in got)
+        elif op == "delete":
+            receipt = receipts[args[0]] if args[0] < len(receipts) else 10_000 + args[0]
+            assert q.delete(receipt) == ref.delete(receipt)
+        elif op == "advance":
+            clock.advance(args[0])
+        elif op == "timeout":
+            q.visibility_timeout_ms = ref.visibility_timeout_ms = args[0]
+        else:
+            assert q.visible_count() == ref.visible_count()
+        assert q.in_flight_count() == ref.in_flight_count()
+        assert len(q) == len(ref)
+        assert q.dlq_bodies == ref.dlq_bodies
+        assert q.deleted_count == ref.deleted_count
+        # a receipt stays mapped only while its message is in flight under it
+        for receipt, mid in q._receipt_to_id.items():
+            assert q._entries[mid].receipt == receipt
+    clock.advance(1_000.0)
+    assert q.receive(100) == ref.receive(100)
+    assert q.dlq_bodies == ref.dlq_bodies

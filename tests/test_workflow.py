@@ -1,6 +1,11 @@
+import dataclasses
+import hashlib
+import json
+
 import pytest
 
-from microreduce.data import GenSpec, generate_dataset
+from microreduce.data import GenSpec, generate_dataset, reference_kv_workload_spec
+from microreduce.runtime import render_ledger_csv
 from microreduce.scenarios import ScenarioConfig, preset
 from microreduce.storage import ObjectStore
 from microreduce.workflow import (
@@ -193,3 +198,51 @@ class TestPhaseBreakdown:
                          raw)
         with pytest.raises(IncompleteTraceError):
             phase_breakdown(result.trace)
+
+
+# SHA-256 of the ranking document, trace.csv, ledger.csv and the DLQ bodies
+# (joined by newlines), pinned from the engine that polled every idle tick.
+# An engine change that keeps virtual-time outputs must keep every digest.
+GOLDEN_RUNS = {
+    # 12 x 5,000 rows on the throttled KV shuffle: 8 DLQ batches, 330 failed maps
+    "preset-6-kv-dlq": (
+        lambda: (dataclasses.replace(reference_kv_workload_spec(), seed=11,
+                                     rows_per_file=5_000),
+                 preset(6, seed=11).replace(override_gate=True)),
+        {
+            "ranking": "8c4fbe8958d98d38ced7d96ff2a2e3597d1301895b45f111e33766754380ef32",
+            "trace": "33b874adad3255e41d981344b598ae948fdf595d761cc4717610ba9e1ac16653",
+            "ledger": "ed218d2c5fb13c3e8f5d46a2ddd2ffaacd0742e2f3d56d215aaa0d4077e96a20",
+            "dlq": "16f45f431350a699a31a60c1f5b0cbd42f4c3ccecc946056c61d60dd9a7da579",
+        },
+    ),
+    "preset-5-object": (
+        lambda: (GenSpec(files=12, rows_per_file=2_000, row_order="shuffled", seed=5),
+                 preset(5, seed=5)),
+        {
+            "ranking": "c7c17885f8ba25468aa224315f7de474abb33a44ec65a779e5ac536ae2fab692",
+            "trace": "956adb680a07ebdcfc52798b722e074754b5f92e063b7fd261abfcab1608c65d",
+            "ledger": "0bce5b32cff5fdd99449f471c06ea60ac86d2a4d7f3701de5ac075a95e4e9b90",
+            "dlq": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_outputs_match_pinned_digests(name):
+    build, expected = GOLDEN_RUNS[name]
+    spec, config = build()
+    raw = ObjectStore()
+    generate_dataset(spec, raw)
+    result = run_job(config, raw)
+    assert result.status == "completed", result.reason
+    outputs = {
+        "ranking": json.dumps(result.ranking_doc, indent=2) + "\n",
+        "trace": result.trace.to_csv(),
+        "ledger": render_ledger_csv(result.records),
+        "dlq": "\n".join(result.queue.dlq_bodies),
+    }
+    got = {key: hashlib.sha256(text.encode("utf-8")).hexdigest()
+           for key, text in outputs.items()}
+    assert got == expected
