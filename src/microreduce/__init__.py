@@ -2,7 +2,5 @@
 micro-batch MapReduce pipeline (ingest -> map -> counter gate -> reduce)
 over emulated object storage, key-value storage, and queuing."""
 
-from .kernels import BACKEND as kernel_backend
-
 __version__ = "0.1.0"
-__all__ = ["kernel_backend", "__version__"]
+__all__ = ["__version__"]

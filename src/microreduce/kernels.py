@@ -1,4 +1,4 @@
-"""Pure-Python row kernels; the reference for the compiled twins.
+"""Row-scan and group-by kernels.
 
 Validity rule: a row is valid when it is long enough, the carrier field is
 non-empty, the delay field parses to an (integral) number, and the
@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, Sequence
 
-BACKEND = "python"
+BACKEND = "python"  # recorded in each benchmark run report
 
 
 def _parse_delay(text: str) -> int | None:

@@ -462,13 +462,12 @@ class QueueSource:
         self.pool_size = 0
         self.pool_history: list[tuple[float, int]] = []
         self._stopped = False
-        self._procs: list[Process] = []
         self._awaiting_send: dict[_IdleConsumer, None] = {}  # in order of sleep
 
     def start(self) -> None:
         self.queue.add_send_listener(self._on_send)
         self._grow(1)
-        self._procs.append(self.runtime.sim.spawn(self._manager(), name="queue-scaler"))
+        self.runtime.sim.spawn(self._manager(), name="queue-scaler")
 
     def stop(self) -> None:
         self._stopped = True
@@ -481,7 +480,7 @@ class QueueSource:
     def _grow(self, n: int) -> None:
         sim = self.runtime.sim
         for _ in range(n):
-            self._procs.append(sim.spawn(self._consumer(), name=f"consumer-{self.fn.name}"))
+            sim.spawn(self._consumer(), name=f"consumer-{self.fn.name}")
         self.pool_size += n
         self.pool_history.append((sim.now(), self.pool_size))
 

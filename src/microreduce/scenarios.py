@@ -64,6 +64,13 @@ class ScenarioConfig:
                 f"ingest_threads {self.ingest_threads} exceeds "
                 f"{vcpus(self.ingest_memory_mb)} vCPUs at {self.ingest_memory_mb} MB"
             )
+        for name in ("map_failure_rate", "object_fault_rate"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1], got {getattr(self, name)}")
+        for name in ("visibility_timeout_ms", "gate_poll_ms", "gate_max_attempts",
+                     "max_receives", "ranking_limit"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
 
     def replace(self, **kwargs) -> "ScenarioConfig":
         return dataclasses.replace(self, **kwargs)

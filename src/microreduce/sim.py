@@ -118,14 +118,11 @@ class Simulator:
 
     # -- scheduling ------------------------------------------------------
 
-    def _push(self, delay: float, action: Callable[[], None]) -> list:
-        if delay < 0:
-            raise SimError(f"negative delay {delay}")
-        return self.call_at(self._now + delay, action)
-
     def call_in(self, delay: float, fn: Callable[[], None]) -> list:
         """Run ``fn`` after ``delay`` ms.  Returns a cancellable handle."""
-        return self._push(delay, fn)
+        if delay < 0:
+            raise SimError(f"negative delay {delay}")
+        return self.call_at(self._now + delay, fn)
 
     def call_at(self, when: float, fn: Callable[[], None]) -> list:
         """Run ``fn`` at the absolute instant ``when``.  Returns a cancellable
@@ -171,7 +168,7 @@ class Simulator:
     # -- process pump ----------------------------------------------------
 
     def _schedule_resume(self, proc: Process, delay: float, value: Any) -> None:
-        entry = self._push(delay, lambda: self._resume(proc, value))
+        entry = self.call_in(delay, lambda: self._resume(proc, value))
         proc._pending = entry
 
     def _wait_on(self, proc: Process, ev: Event) -> None:

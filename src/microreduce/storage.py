@@ -235,7 +235,6 @@ class KvStore:
 @dataclass(slots=True)
 class _QueueEntry:
     body: str
-    enqueued_at: float
     receive_count: int = 0
     visible_at: float = 0.0
     receipt: Optional[int] = None
@@ -286,7 +285,7 @@ class MessageQueue:
     def send(self, body: str) -> None:
         with self._lock:
             mid = next(self._ids)
-            self._entries[mid] = _QueueEntry(body=body, enqueued_at=self._clock())
+            self._entries[mid] = _QueueEntry(body=body)
             heapq.heappush(self._visible, mid)
             self.sent_count += 1
         for fn in self._send_listeners:

@@ -107,6 +107,26 @@ class TestRunJob:
         with pytest.raises(ValueError):
             run_job(scenario(files=5), raw)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("map_failure_rate", 1.5),
+            ("map_failure_rate", -0.1),
+            ("object_fault_rate", -0.1),
+            ("object_fault_rate", 1.01),
+            ("visibility_timeout_ms", 0.0),
+            ("gate_poll_ms", -5.0),
+            ("gate_max_attempts", 0),
+            ("max_receives", 0),
+            ("ranking_limit", 0),
+        ],
+    )
+    def test_out_of_range_config_rejected_at_construction(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            scenario(files=1, **{field: value})
+        with pytest.raises(ValueError, match=field):
+            ScenarioConfig.from_dict({field: value})
+
     def test_object_store_faults_stall_the_gate(self):
         raw, _ = small_dataset(files=1, rows=200)
         cfg = scenario(files=1, object_fault_rate=1.0, gate_max_attempts=8,
