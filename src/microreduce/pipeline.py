@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Optional
 
 from . import kernels
 from .core import DegenerateAggregateError, CarrierAggregate, rank_carriers
 from .data import parse_csv
-from .ports import AuditLog, ShuffleEntry
+from .ports import ShuffleEntry
 from .runtime import InvocationContext, StorageClients
 from .storage import StorageFaultError, ThrottledError
 
@@ -68,7 +67,6 @@ class PipelineEnv:
     port: object  # a shuffle adapter
     batch_size: int = 100
     map_failure_rate: float = 0.0
-    audit: Optional[AuditLog] = None
 
 
 def _env(ctx: InvocationContext) -> PipelineEnv:
@@ -187,7 +185,6 @@ def reduce_gate(
     poll_interval_ms: float = 1000.0,
     max_attempts: int = 300,
     override_on_stall: bool = False,
-    audit: Optional[AuditLog] = None,
 ):
     """Poll the counter pair until ingested == mapped > 0.
 
@@ -202,15 +199,10 @@ def reduce_gate(
         yield poll_interval_ms
         attempts += 1
         ingested, mapped = yield from clients.counter_get(execution_id)
-        if audit is not None:
-            audit.note("gate_check", f"{ingested}/{mapped}")
         if ingested == mapped and ingested > 0:
             return GateState(execution_id, ingested, mapped, attempts)
-    state = GateState(execution_id, ingested, mapped, attempts,
-                      overridden=override_on_stall)
-    if audit is not None and state.overridden:
-        audit.note("gate_override", f"{ingested}/{mapped}")
-    return state
+    return GateState(execution_id, ingested, mapped, attempts,
+                     overridden=override_on_stall)
 
 
 def reduce_aggregate_handler(ctx: InvocationContext, payload: dict):

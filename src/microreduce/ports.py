@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Optional
 
 from .runtime import StorageClients
 from .storage import KvItem
@@ -53,36 +52,19 @@ def object_key_for(entry: ShuffleEntry) -> str:
     return f"{entry.execution_id}/{entry.partition_key}/{entry.instance_id}.json"
 
 
-class AuditLog:
-    """Append-only (virtual time, kind, detail) log for event-order checks."""
-
-    def __init__(self, clock):
-        self._clock = clock
-        self.events: list[tuple[float, str, str]] = []
-
-    def note(self, kind: str, detail: str = "") -> None:
-        self.events.append((self._clock(), kind, detail))
-
-    def times(self, kind: str) -> list[float]:
-        return [t for t, k, _ in self.events if k == kind]
-
-
 class ObjectShuffleAdapter:
     """Entries as JSON objects under ``{execution}/{partition}/{instance}.json``."""
 
     name = "object"
 
-    def __init__(self, clients: StorageClients, audit: Optional[AuditLog] = None):
+    def __init__(self, clients: StorageClients):
         self.clients = clients
-        self.audit = audit
 
     def write_entry(self, entry: ShuffleEntry):
         body = json.dumps(entry.to_doc(), sort_keys=True).encode("utf-8")
         yield from self.clients.object_put(object_key_for(entry), body)
 
     def read_partition(self, execution_id: str, partition_key: str):
-        if self.audit is not None:
-            self.audit.note("partition_read", f"{execution_id}/{partition_key}")
         keys = yield from self.clients.object_list(f"{execution_id}/{partition_key}/")
         entries = []
         for key in keys:
@@ -113,9 +95,8 @@ class KvShuffleAdapter:
 
     name = "kv"
 
-    def __init__(self, clients: StorageClients, audit: Optional[AuditLog] = None):
+    def __init__(self, clients: StorageClients):
         self.clients = clients
-        self.audit = audit
 
     def write_entry(self, entry: ShuffleEntry):
         item = KvItem(
@@ -127,8 +108,6 @@ class KvShuffleAdapter:
         yield from self.clients.kv_put(item)
 
     def read_partition(self, execution_id: str, partition_key: str):
-        if self.audit is not None:
-            self.audit.note("partition_read", f"{execution_id}/{partition_key}")
         items = yield from self.clients.kv_query_lsi(execution_id, partition_key)
         return [ShuffleEntry.from_doc(item.payload) for item in items]
 
@@ -142,9 +121,9 @@ class KvShuffleAdapter:
             yield from self.clients.kv_delete(execution_id, f"{instance_id}#{pk}")
 
 
-def make_adapter(kind: str, clients: StorageClients, audit: Optional[AuditLog] = None):
+def make_adapter(kind: str, clients: StorageClients):
     if kind == "object":
-        return ObjectShuffleAdapter(clients, audit)
+        return ObjectShuffleAdapter(clients)
     if kind == "kv":
-        return KvShuffleAdapter(clients, audit)
+        return KvShuffleAdapter(clients)
     raise ValueError(f"unknown shuffle backend {kind!r} (expected object|kv)")

@@ -20,6 +20,17 @@ KPI_COLUMNS = ("Function", "Total Count", "Init Count", "Avg Init (ms)",
 _FUNCTION_ORDER = {"ingest": 0, "map": 1, "reduce1": 2, "reduce2": 3}
 
 
+def _by_function(
+    records: Sequence[InvocationRecord],
+) -> list[tuple[str, list[InvocationRecord]]]:
+    """Records grouped by function, in pipeline-stage order."""
+    grouped: dict[str, list[InvocationRecord]] = {}
+    for r in records:
+        grouped.setdefault(r.function, []).append(r)
+    names = sorted(grouped, key=lambda n: (_FUNCTION_ORDER.get(n, 99), n))
+    return [(name, grouped[name]) for name in names]
+
+
 @dataclass(frozen=True, slots=True)
 class FunctionKpi:
     function: str
@@ -37,13 +48,8 @@ def kpi_table(records: Sequence[InvocationRecord]) -> list[FunctionKpi]:
     """Per-function invocation statistics, row order fixed by pipeline stage."""
     if not records:
         raise ValueError("empty invocation ledger")
-    grouped: dict[str, list[InvocationRecord]] = {}
-    for r in records:
-        grouped.setdefault(r.function, []).append(r)
-    names = sorted(grouped, key=lambda n: (_FUNCTION_ORDER.get(n, 99), n))
     out = []
-    for name in names:
-        rows = grouped[name]
+    for name, rows in _by_function(records):
         cold = [r for r in rows if r.cold_start]
         out.append(
             FunctionKpi(
@@ -105,13 +111,8 @@ def cost_report(records: Sequence[InvocationRecord], price_per_gb_s: float,
                 request_price: float) -> CostReport:
     if price_per_gb_s < 0 or request_price < 0:
         raise ValueError("rates must be non-negative")
-    grouped: dict[str, list[InvocationRecord]] = {}
-    for r in records:
-        grouped.setdefault(r.function, []).append(r)
-    names = sorted(grouped, key=lambda n: (_FUNCTION_ORDER.get(n, 99), n))
     lines = []
-    for name in names:
-        rows = grouped[name]
+    for name, rows in _by_function(records):
         gb_s = sum(r.billed_gb_ms for r in rows) / 1000.0
         lines.append(
             CostLine(

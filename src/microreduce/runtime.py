@@ -1,10 +1,15 @@
 """Simulated Function-as-a-Service executor.
 
-Each invocation runs as a process on the virtual clock: cold-start
-initialization, compute charged through the calibration table with
-memory-derived worker parallelism, a hard timeout, GB-ms billing, an
-account-wide concurrency ceiling with FIFO overflow queuing, and
-queue-driven consumer pools that scale by a fixed step per virtual minute.
+Each invocation runs on the virtual clock: cold-start initialization,
+compute charged through the calibration table with memory-derived worker
+parallelism, a hard timeout, GB-ms billing, an account-wide concurrency
+ceiling with FIFO overflow queuing, and queue-driven consumer pools that
+scale by a fixed step per virtual minute.
+
+An invocation runs its handler in its caller's process: the caller drives
+it with ``yield from`` and its hard timeout interrupts that process.  This
+relies on handlers yielding only latencies, never an ``Event``: an
+interrupt cancels a pending timed resume, but not a wait on an event.
 """
 
 from __future__ import annotations
@@ -268,6 +273,9 @@ class InvocationContext:
             self._mem_watermark_mb = used
 
 
+#: A generator function ``handler(ctx, payload)`` run in the invoking
+#: process.  It yields only latencies (numbers), never an ``Event``, and its
+#: return value becomes the record's ``result``.
 Handler = Callable[[InvocationContext, Any], Any]
 
 
@@ -293,7 +301,6 @@ class FunctionRuntime:
         self._active = 0
         self._admission_waiters: deque[Event] = deque()
         self.max_active_seen = 0
-        self.cold_start_count = 0
 
     # -- cold-start bookkeeping -------------------------------------------
 
@@ -313,7 +320,6 @@ class FunctionRuntime:
                 return False, 0.0
         init = max(0.0, self._init_rng(fn.name).gauss(
             self.cal.init_ms_mean, self.cal.init_ms_sigma))
-        self.cold_start_count += 1
         return True, init
 
     def _release_instance(self, fn: FunctionConfig) -> None:
@@ -331,21 +337,23 @@ class FunctionRuntime:
         execution_id: str = "",
         extras: Optional[dict] = None,
     ) -> Process:
-        """Schedule one invocation; the process result is its InvocationRecord."""
-        gen = self._invocation(fn, handler, payload, execution_id, extras or {})
-        return self.sim.spawn(gen, name=f"invoke-{fn.name}")
+        """Spawn one invocation; the process result is its InvocationRecord."""
+        return self.sim.spawn(self.invocation(fn, handler, payload, execution_id, extras),
+                              name=f"invoke-{fn.name}")
 
-    def _guarded(self, handler_gen, box: dict):
-        try:
-            box["result"] = yield from handler_gen
-            box["status"] = "ok"
-        except Interrupted:
-            box["status"] = "timeout"
-        except Exception as exc:
-            box["status"] = "error"
-            box["error"] = exc
+    def invocation(
+        self,
+        fn: FunctionConfig,
+        handler: Handler,
+        payload: Any,
+        execution_id: str = "",
+        extras: Optional[dict] = None,
+    ):
+        """Run one invocation in the calling process; returns its InvocationRecord.
 
-    def _invocation(self, fn, handler, payload, execution_id, extras):
+        The caller drives it with ``yield from``.  The hard timeout interrupts
+        the calling process, so ``Interrupted`` is raised inside the handler.
+        """
         # Admission control: saturated invocations queue FIFO, never drop.
         if self._active >= self.limits.account_concurrency:
             gate = self.sim.event()
@@ -362,21 +370,22 @@ class FunctionRuntime:
         start = self.sim.now()
         rng = Random(("invocation", self._seed, instance_id).__repr__())
         ctx = InvocationContext(
-            self.sim, fn, self.cal, self.clients, execution_id, instance_id, rng, extras
+            self.sim, fn, self.cal, self.clients, execution_id, instance_id, rng,
+            extras or {},
         )
-        box: dict = {"status": "running", "result": None, "error": None}
-        hproc = self.sim.spawn(self._guarded(handler(ctx, payload), box),
-                               name=f"{fn.name}-handler")
-        timeout_handle = self.sim.call_in(fn.timeout_ms, hproc.interrupt)
-        yield hproc.finished
+        result = error = None
+        timeout_handle = self.sim.call_in(fn.timeout_ms, self.sim.active_process.interrupt)
+        try:
+            result = yield from handler(ctx, payload)
+            status = "ok"
+        except Interrupted:
+            status = "timeout"
+        except Exception as exc:
+            status = "error"
+            error = exc
         self.sim.cancel(timeout_handle)
 
-        if box["status"] == "timeout":
-            duration = float(fn.timeout_ms)
-            outcome = "timeout"
-        else:
-            duration = self.sim.now() - start
-            outcome = "ok" if box["status"] == "ok" else "error"
+        duration = float(fn.timeout_ms) if status == "timeout" else self.sim.now() - start
         record = InvocationRecord(
             function=fn.name,
             execution_id=execution_id,
@@ -386,11 +395,11 @@ class FunctionRuntime:
             duration_ms=duration,
             billed_gb_ms=(fn.memory_mb / 1024.0) * duration,
             max_mem_used_mb=ctx._mem_watermark_mb,
-            outcome=outcome,
+            outcome=status,
             start_ms=start,
-            error=repr(box["error"]) if box["error"] is not None else None,
-            exception=box["error"],
-            result=box["result"],
+            error=repr(error) if error is not None else None,
+            exception=error,
+            result=result,
         )
         self.ledger.append(record)
         self._release_instance(fn)
@@ -505,10 +514,9 @@ class QueueSource:
             for msg in messages:
                 payload = self.decode(msg.body)
                 execution_id = payload.get("execution_id", "") if isinstance(payload, dict) else ""
-                proc = self.runtime.invoke(
-                    self.fn, self.handler, payload, execution_id, extras=self.extras
+                record = yield from self.runtime.invocation(
+                    self.fn, self.handler, payload, execution_id, self.extras
                 )
-                record = yield proc.finished
                 if record.outcome == "ok":
                     yield from clients.queue_delete(msg.receipt)
                 # otherwise leave it; visibility expiry redelivers or retires

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .calibration import vcpus
+from .runtime import MAX_MEMORY_MB, MIN_MEMORY_MB
 from .storage import ThrottlePolicy
 
 # Write throttle for the key-value shuffle preset.  Found by sweeping
@@ -59,6 +60,13 @@ class ScenarioConfig:
             raise ValueError("batch_size must be positive")
         if self.ingest_threads < 1:
             raise ValueError("ingest_threads must be positive")
+        for name in ("ingest_memory_mb", "map_memory_mb", "reduce1_memory_mb",
+                     "reduce2_memory_mb"):
+            if not MIN_MEMORY_MB <= getattr(self, name) <= MAX_MEMORY_MB:
+                raise ValueError(
+                    f"{name} must be in [{MIN_MEMORY_MB}, {MAX_MEMORY_MB}], "
+                    f"got {getattr(self, name)}"
+                )
         if self.ingest_threads > vcpus(self.ingest_memory_mb):
             raise ValueError(
                 f"ingest_threads {self.ingest_threads} exceeds "
@@ -71,6 +79,12 @@ class ScenarioConfig:
                      "max_receives", "ranking_limit"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.throttle.enabled and not (self.throttle.sustained_ops_per_sec >= 0
+                                          and self.throttle.burst_capacity >= 1):
+            raise ValueError(
+                "an enabled throttle needs sustained_ops_per_sec >= 0 and "
+                f"burst_capacity >= 1, got {self.throttle}"
+            )
 
     def replace(self, **kwargs) -> "ScenarioConfig":
         return dataclasses.replace(self, **kwargs)

@@ -105,8 +105,17 @@ class Process:
 
 
 class Simulator:
+    """Virtual clock, event heap and process pump.
+
+    ``active_process`` is the process whose generator is running right now,
+    or ``None`` between resumes.  Code that runs inside a process through
+    ``yield from`` reads it to act on its caller's process, for example to
+    arm a timeout that interrupts it.
+    """
+
     def __init__(self, interleave_seed: Optional[int] = None):
         self._now = 0.0
+        self.active_process: Optional[Process] = None
         self._heap: list[list] = []
         self._seq = itertools.count()
         self._tiebreak: Optional[Random] = (
@@ -178,6 +187,7 @@ class Simulator:
         if not proc.alive:
             return
         proc._pending = None
+        self.active_process = proc
         try:
             if proc._interrupt_next is not None:
                 exc = proc._interrupt_next
@@ -193,6 +203,8 @@ class Simulator:
             proc.alive = False
             proc.finished.trigger(None)
             return
+        finally:
+            self.active_process = None
         self._dispatch_yield(proc, item)
 
     def _dispatch_yield(self, proc: Process, item: Any) -> None:

@@ -28,7 +28,7 @@ from .pipeline import (
     reduce_gate,
     reduce_rank_handler,
 )
-from .ports import AuditLog, make_adapter
+from .ports import make_adapter
 from .runtime import (
     FunctionConfig,
     FunctionRuntime,
@@ -172,7 +172,6 @@ class JobResult:
     kv: KvStore
     objects: ObjectStore
     queue: MessageQueue
-    audit: AuditLog
     scenario: ScenarioConfig
 
 
@@ -203,13 +202,11 @@ class _Job:
                                   max_receives=scenario.max_receives)
         self.clients = StorageClients(cal, objects=self.objects, raw_objects=raw_store,
                                       kv=self.kv, queue=self.queue)
-        self.audit = AuditLog(self.sim.now)
-        self.port = make_adapter(scenario.shuffle_system, self.clients, self.audit)
+        self.port = make_adapter(scenario.shuffle_system, self.clients)
         self.runtime = FunctionRuntime(self.sim, self.clients, seed=seed)
         self.env = PipelineEnv(clients=self.clients, port=self.port,
                                batch_size=scenario.batch_size,
-                               map_failure_rate=scenario.map_failure_rate,
-                               audit=self.audit)
+                               map_failure_rate=scenario.map_failure_rate)
         self.file_keys = file_keys
         self.trace = ExecutionTrace(self.execution_id)
         self.fn_ingest = FunctionConfig("ingest", scenario.ingest_memory_mb,
@@ -249,9 +246,8 @@ def _task_with_retries(job: _Job, state: str, fn: FunctionConfig, handler, paylo
     """Run one task state; retry transient failures, never degenerate input."""
     attempt = 0
     while True:
-        proc = job.runtime.invoke(fn, handler, payload, job.execution_id,
-                                  extras={"env": job.env})
-        record = yield proc.finished
+        record = yield from job.runtime.invocation(fn, handler, payload, job.execution_id,
+                                                   extras={"env": job.env})
         job.trace.add(job.sim.now(), state, record.instance_id, record.outcome,
                       record.duration_ms)
         if record.outcome == "ok":
@@ -311,7 +307,6 @@ def _orchestrate(job: _Job):
             poll_interval_ms=job.scenario.gate_poll_ms,
             max_attempts=job.scenario.gate_max_attempts,
             override_on_stall=job.scenario.override_gate,
-            audit=job.audit,
         )
         job.gate = gate
         if not gate.passes:
@@ -426,6 +421,5 @@ def run_job(
         kv=job.kv,
         objects=job.objects,
         queue=job.queue,
-        audit=job.audit,
         scenario=scenario,
     )

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from microreduce.calibration import DEFAULT_CALIBRATION
-from microreduce.ports import AuditLog, make_adapter
+from microreduce.ports import make_adapter
 from microreduce.runtime import StorageClients
 from microreduce.storage import KvStore, MessageQueue, ObjectStore
 
@@ -73,5 +73,4 @@ def make_clients(clock=None, throttle=None, fault_rate=0.0):
 
 def make_port(kind: str, clients=None, clock=None):
     clients = clients or make_clients(clock=clock)
-    audit = AuditLog(clock or (lambda: 0.0))
-    return make_adapter(kind, clients, audit), clients
+    return make_adapter(kind, clients), clients

@@ -16,7 +16,7 @@ from microreduce.pipeline import (
     reduce_gate,
     reduce_rank_handler,
 )
-from microreduce.ports import AuditLog, ShuffleEntry, make_adapter
+from microreduce.ports import ShuffleEntry, make_adapter
 from microreduce.runtime import FunctionConfig, FunctionRuntime, StorageClients
 from microreduce.sim import Simulator
 from microreduce.storage import (
@@ -39,11 +39,10 @@ def make_harness(shuffle="object", throttle=None, batch_size=100,
         kv=KvStore(clock=sim.now, throttle=throttle),
         queue=MessageQueue(clock=sim.now),
     )
-    audit = AuditLog(sim.now)
-    port = make_adapter(shuffle, clients, audit)
+    port = make_adapter(shuffle, clients)
     runtime = FunctionRuntime(sim, clients, seed=seed)
     env = PipelineEnv(clients=clients, port=port, batch_size=batch_size,
-                      map_failure_rate=map_failure_rate, audit=audit)
+                      map_failure_rate=map_failure_rate)
     return SimpleNamespace(sim=sim, clients=clients, port=port, runtime=runtime,
                            env=env, kv=clients.kv, queue=clients.queue,
                            raw=clients.raw_objects, objects=clients.objects)

@@ -181,7 +181,6 @@ class TestInvocation:
         fn = FunctionConfig("fn", 1024)
         records = [rt.run_single(fn, busy_handler(1.0), {}) for _ in range(10)]
         assert sum(r.cold_start for r in records) == 1
-        assert rt.cold_start_count <= len(records)
 
     def test_billing_arithmetic(self):
         rt = make_runtime()
@@ -210,6 +209,57 @@ class TestInvocation:
         record = rt.run_single(fn, busy_handler(100_000.0), {})
         assert record.outcome == "timeout"
         assert record.duration_ms == 500.0
+
+    def test_timeout_leaves_the_calling_process_running(self):
+        sim = Simulator()
+        rt = make_runtime(sim=sim, cal=replace(DEFAULT_CALIBRATION, init_ms_mean=0.0,
+                                               init_ms_sigma=0.0))
+        fn = FunctionConfig("fn", 1024, timeout_ms=500)
+        resumed = []
+
+        def sleeper(ms):
+            def handler(ctx, payload):
+                yield ms
+                return ms
+
+            return handler
+
+        def caller():
+            records = []
+            for ms in (10_000.0, 100.0):
+                records.append((yield from rt.invocation(fn, sleeper(ms), {})))
+                resumed.append(sim.now())
+            yield 20_000.0  # neither a stray interrupt nor a live timeout
+            resumed.append(sim.now())
+            return records
+
+        proc = sim.spawn(caller())
+        sim.run()
+        assert [(r.outcome, r.duration_ms) for r in proc.result] == [
+            ("timeout", 500.0), ("ok", 100.0)]
+        assert resumed == [500.0, 600.0, 20_600.0]
+
+    def test_queue_consumer_survives_a_handler_timeout(self):
+        cal = replace(DEFAULT_CALIBRATION, init_ms_mean=0.0, init_ms_sigma=0.0)
+        sim = Simulator()
+        queue = MessageQueue(clock=sim.now, visibility_timeout_ms=5_000.0)
+        clients = StorageClients(cal, objects=ObjectStore(), kv=KvStore(clock=sim.now),
+                                 queue=queue)
+        rt = FunctionRuntime(sim, clients)
+
+        def handler(ctx, payload):
+            yield 10.0 if rt.ledger else 10_000.0  # only the first attempt overruns
+            return None
+
+        queue.send('{"execution_id": "e"}')
+        source = rt.attach_queue_source(FunctionConfig("map", 1024, timeout_ms=1_000),
+                                        queue, handler)
+        sim.run(max_time=60_000.0)
+        source.stop()
+        assert [(r.outcome, r.start_ms, r.duration_ms) for r in rt.ledger] == [
+            ("timeout", 1.0, 1000.0), ("ok", 5022.0, 10.0)]
+        assert source.pool_size == 1
+        assert len(queue) == 0 and queue.dlq_count() == 0
 
     def test_default_timeout_is_fifteen_minutes(self):
         rt = make_runtime()

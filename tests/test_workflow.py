@@ -7,7 +7,7 @@ import pytest
 from microreduce.data import GenSpec, generate_dataset, reference_kv_workload_spec
 from microreduce.runtime import render_ledger_csv
 from microreduce.scenarios import ScenarioConfig, preset
-from microreduce.storage import ObjectStore
+from microreduce.storage import ObjectStore, ThrottlePolicy
 from microreduce.workflow import (
     IncompleteTraceError,
     phase_breakdown,
@@ -69,7 +69,9 @@ class TestRunJob:
         result = run_job(scenario(), raw)
         mapped_writes = [w.at_ms for w in result.kv.counter_history
                          if w.fieldname == "mapped"]
-        first_aggregate_read = min(result.audit.times("partition_read"))
+        # a reduce1 handler reads its partition first, at its start instant
+        first_aggregate_read = min(r.start_ms for r in result.records
+                                   if r.function == "reduce1")
         assert max(mapped_writes) <= first_aggregate_read
         assert result.gate.passes and result.gate.attempts >= 1
 
@@ -119,13 +121,20 @@ class TestRunJob:
             ("gate_max_attempts", 0),
             ("max_receives", 0),
             ("ranking_limit", 0),
+            ("throttle", ThrottlePolicy(-1.0, 5.0, True)),
+            ("throttle", ThrottlePolicy(0.0, 0.0, True)),
+            ("ingest_memory_mb", 64),
+            ("map_memory_mb", 64),
+            ("reduce1_memory_mb", 20_000),
+            ("reduce2_memory_mb", 64),
         ],
     )
     def test_out_of_range_config_rejected_at_construction(self, field, value):
         with pytest.raises(ValueError, match=field):
             scenario(files=1, **{field: value})
+        doc_value = dataclasses.asdict(value) if field == "throttle" else value
         with pytest.raises(ValueError, match=field):
-            ScenarioConfig.from_dict({field: value})
+            ScenarioConfig.from_dict({field: doc_value})
 
     def test_object_store_faults_stall_the_gate(self):
         raw, _ = small_dataset(files=1, rows=200)
