@@ -8,7 +8,6 @@ byte-for-byte from the recorded seed and settings.
 from __future__ import annotations
 
 import json
-import os
 import sys
 from pathlib import Path
 from typing import Optional
@@ -81,15 +80,8 @@ def _resolve_scenario(selector: str, seed: Optional[int]) -> ScenarioConfig:
             scenario = ScenarioConfig.from_file(path)
         except (KeyError, TypeError, ValueError) as exc:
             raise click.ClickException(f"bad scenario file: {exc}")
-    # precedence: --seed flag, then MICROREDUCE_SEED, then the scenario file
-    env_seed = os.environ.get("MICROREDUCE_SEED")
     if seed is not None:
         scenario = scenario.replace(seed=seed)
-    elif env_seed is not None:
-        try:
-            scenario = scenario.replace(seed=int(env_seed))
-        except ValueError:
-            raise click.ClickException(f"MICROREDUCE_SEED must be an integer, got {env_seed!r}")
     return scenario
 
 

@@ -7,9 +7,12 @@ ceiling with FIFO overflow queuing, and queue-driven consumer pools that
 scale by a fixed step per virtual minute.
 
 An invocation runs its handler in its caller's process: the caller drives
-it with ``yield from`` and its hard timeout interrupts that process.  This
-relies on handlers yielding only latencies, never an ``Event``: an
-interrupt cancels a pending timed resume, but not a wait on an event.
+it with ``yield from``, and the invocation drives the handler generator in
+turn.  It passes each latency the handler yields on to the scheduler and
+enforces the hard timeout itself: the first latency that would reach the
+deadline becomes a wait to the deadline, where ``Interrupted`` is thrown into
+the handler.  A handler yields only latencies; any other yield raises
+``SimError`` out of the run.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from typing import Any, Callable, Optional
 
 from .calibration import CalibrationTable, vcpus
 from .core import new_execution_id
-from .sim import Event, Interrupted, Process, Simulator
+from .sim import Event, Process, SimError, Simulator
 from .storage import KvStore, MessageQueue, ObjectStore
 
 LEDGER_COLUMNS = (
@@ -43,6 +46,10 @@ LEDGER_COLUMNS = (
 MAX_TIMEOUT_MS = 900_000
 MIN_MEMORY_MB = 128
 MAX_MEMORY_MB = 10_240
+
+
+class Interrupted(Exception):
+    """Thrown into a handler at its invocation's deadline."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -90,7 +97,6 @@ class InvocationRecord:
     outcome: str  # ok | timeout | error
     # not exported: used for concurrency accounting and diagnostics
     start_ms: float = 0.0
-    error: Optional[str] = None
     exception: Any = None
     result: Any = None
 
@@ -274,7 +280,8 @@ class InvocationContext:
 
 
 #: A generator function ``handler(ctx, payload)`` run in the invoking
-#: process.  It yields only latencies (numbers), never an ``Event``, and its
+#: process.  It yields only latencies (numbers); the invocation enforces the
+#: deadline between them and raises ``SimError`` on any other yield.  Its
 #: return value becomes the record's ``result``.
 Handler = Callable[[InvocationContext, Any], Any]
 
@@ -351,8 +358,10 @@ class FunctionRuntime:
     ):
         """Run one invocation in the calling process; returns its InvocationRecord.
 
-        The caller drives it with ``yield from``.  The hard timeout interrupts
-        the calling process, so ``Interrupted`` is raised inside the handler.
+        The caller drives it with ``yield from``.  A handler latency that
+        would reach ``start + timeout_ms`` is cut to a wait for that instant,
+        and ``Interrupted`` is thrown into the handler there.  What the
+        handler yields after that is its cleanup, passed on uncut.
         """
         # Admission control: saturated invocations queue FIFO, never drop.
         if self._active >= self.limits.account_concurrency:
@@ -374,16 +383,34 @@ class FunctionRuntime:
             extras or {},
         )
         result = error = None
-        timeout_handle = self.sim.call_in(fn.timeout_ms, self.sim.active_process.interrupt)
-        try:
-            result = yield from handler(ctx, payload)
-            status = "ok"
-        except Interrupted:
-            status = "timeout"
-        except Exception as exc:
-            status = "error"
-            error = exc
-        self.sim.cancel(timeout_handle)
+        deadline = start + fn.timeout_ms
+        gen = handler(ctx, payload)
+        step, arg = gen.send, None
+        interrupted = False
+        while True:
+            try:
+                latency = step(arg)
+            except StopIteration as stop:
+                result, status = stop.value, "ok"
+                break
+            except Interrupted:
+                status = "timeout"
+                break
+            except Exception as exc:
+                status, error = "error", exc
+                break
+            if not isinstance(latency, (int, float)):
+                raise SimError(f"handler of {fn.name!r} yielded {latency!r}, not a latency")
+            if interrupted or self.sim.now() + latency < deadline:
+                yield latency
+                step, arg = gen.send, None
+            else:
+                # land on the deadline exactly: now + (deadline - now) may not
+                expired = self.sim.event()
+                self.sim.call_at(deadline, expired.trigger)
+                yield expired
+                step, arg = gen.throw, Interrupted(f"{fn.name} timed out")
+                interrupted = True
 
         duration = float(fn.timeout_ms) if status == "timeout" else self.sim.now() - start
         record = InvocationRecord(
@@ -397,7 +424,6 @@ class FunctionRuntime:
             max_mem_used_mb=ctx._mem_watermark_mb,
             outcome=status,
             start_ms=start,
-            error=repr(error) if error is not None else None,
             exception=error,
             result=result,
         )

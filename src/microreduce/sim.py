@@ -5,9 +5,9 @@ Everything time-related in this package runs on the virtual clock owned by a
 ("processes") that yield one of:
 
 * a number  -- advance the virtual clock by that many milliseconds,
-* an :class:`Event` -- suspend until the event is triggered,
-* a :class:`Process` -- suspend until that process finishes,
-* ``None``  -- yield the floor to other ready processes at the same instant.
+* an :class:`Event` -- suspend until the event is triggered.
+
+A process waits for another through its ``finished`` event.
 
 Scheduling is deterministic: simultaneous wakeups run in FIFO order by
 default.  Passing ``interleave_seed`` randomizes the relative order of
@@ -27,10 +27,6 @@ ProcessGen = Generator[Any, Any, Any]
 
 class SimError(RuntimeError):
     pass
-
-
-class Interrupted(Exception):
-    """Thrown into a process that gets interrupted (e.g. timeout abort)."""
 
 
 class Event:
@@ -71,16 +67,12 @@ class Event:
 class Process:
     """A running generator on the simulator timeline."""
 
-    __slots__ = ("sim", "gen", "name", "finished", "alive", "_pending", "_interrupt_next")
+    __slots__ = ("gen", "name", "finished")
 
     def __init__(self, sim: "Simulator", gen: ProcessGen, name: str = ""):
-        self.sim = sim
         self.gen = gen
         self.name = name
         self.finished = Event(sim)
-        self.alive = True
-        self._pending: Optional[list] = None  # cancellable heap entry
-        self._interrupt_next: Optional[Interrupted] = None
 
     @property
     def result(self) -> Any:
@@ -88,34 +80,12 @@ class Process:
             raise SimError(f"process {self.name!r} still running")
         return self.finished.value
 
-    def interrupt(self, reason: str = "interrupted") -> None:
-        """Abort the process at the current virtual instant.
-
-        The pending wakeup is cancelled and ``Interrupted`` is thrown into
-        the generator, so ``try/finally`` blocks in the process still run.
-        Not supported from within the process itself.
-        """
-        if not self.alive:
-            return
-        if self._pending is not None:
-            self._pending[-1] = None  # cancel scheduled resume
-            self._pending = None
-        self._interrupt_next = Interrupted(reason)
-        self.sim._schedule_resume(self, 0.0, None)
-
 
 class Simulator:
-    """Virtual clock, event heap and process pump.
-
-    ``active_process`` is the process whose generator is running right now,
-    or ``None`` between resumes.  Code that runs inside a process through
-    ``yield from`` reads it to act on its caller's process, for example to
-    arm a timeout that interrupts it.
-    """
+    """Virtual clock, event heap and process pump."""
 
     def __init__(self, interleave_seed: Optional[int] = None):
         self._now = 0.0
-        self.active_process: Optional[Process] = None
         self._heap: list[list] = []
         self._seq = itertools.count()
         self._tiebreak: Optional[Random] = (
@@ -177,34 +147,17 @@ class Simulator:
     # -- process pump ----------------------------------------------------
 
     def _schedule_resume(self, proc: Process, delay: float, value: Any) -> None:
-        entry = self.call_in(delay, lambda: self._resume(proc, value))
-        proc._pending = entry
+        self.call_in(delay, lambda: self._resume(proc, value))
 
     def _wait_on(self, proc: Process, ev: Event) -> None:
         ev.on_trigger(lambda value: self._schedule_resume(proc, 0.0, value))
 
     def _resume(self, proc: Process, value: Any) -> None:
-        if not proc.alive:
-            return
-        proc._pending = None
-        self.active_process = proc
         try:
-            if proc._interrupt_next is not None:
-                exc = proc._interrupt_next
-                proc._interrupt_next = None
-                item = proc.gen.throw(exc)
-            else:
-                item = proc.gen.send(value)
+            item = proc.gen.send(value)
         except StopIteration as stop:
-            proc.alive = False
             proc.finished.trigger(stop.value)
             return
-        except Interrupted:
-            proc.alive = False
-            proc.finished.trigger(None)
-            return
-        finally:
-            self.active_process = None
         self._dispatch_yield(proc, item)
 
     def _dispatch_yield(self, proc: Process, item: Any) -> None:
@@ -212,12 +165,7 @@ class Simulator:
             self._schedule_resume(proc, float(item), None)
         elif isinstance(item, Event):
             self._wait_on(proc, item)
-        elif isinstance(item, Process):
-            self._wait_on(proc, item.finished)
-        elif item is None:
-            self._schedule_resume(proc, 0.0, None)
         else:
-            proc.alive = False
             raise SimError(f"process {proc.name!r} yielded {item!r}")
 
     def run(self, until: Optional[Event] = None, max_time: Optional[float] = None) -> None:

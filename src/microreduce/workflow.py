@@ -283,7 +283,7 @@ def _orchestrate(job: _Job):
             record, ok = task.result
             if not ok:
                 job.exit("ParallelIngest", "failed", entered)
-                raise _JobFailed(f"ingest failed after retries: {record.error}")
+                raise _JobFailed(f"ingest failed after retries: {record.exception!r}")
             emitted += record.result["records_emitted"]
             job.valid_input_rows += record.result["records_emitted"]
             job.total_input_rows += record.result["total_rows"]
@@ -342,7 +342,7 @@ def _orchestrate(job: _Job):
             if isinstance(record.exception, DegenerateAggregateError):
                 job.skipped.append(pk)  # listed partition with no rows
             else:
-                raise _JobFailed(f"aggregate for {pk!r} failed: {record.error}")
+                raise _JobFailed(f"aggregate for {pk!r} failed: {record.exception!r}")
         job.exit("ParallelReduceAggregate", "completed", entered)
         yield job.cal.workflow_transition_ms
 
@@ -353,7 +353,7 @@ def _orchestrate(job: _Job):
             {"limit": job.scenario.ranking_limit},
         )
         if not ok:
-            raise _JobFailed(f"ranking failed: {record.error}")
+            raise _JobFailed(f"ranking failed: {record.exception!r}")
         job.ranking_doc = record.result["ranking"]
         job.exit("ReduceRank", "completed", entered)
         return {"status": "completed", "reason": ""}

@@ -94,16 +94,6 @@ class TestRun:
         assert config["scenario"]["shuffle_system"] == "kv"  # flag beat file
         assert config["scenario"]["seed"] == 9
 
-    def test_env_seed_applies_when_no_flag(self, runner, tmp_path, monkeypatch):
-        data = generate_cli_data(runner, tmp_path)
-        out = tmp_path / "runs"
-        monkeypatch.setenv("MICROREDUCE_SEED", "1234")
-        result = runner.invoke(main, ["run", "--scenario", "1", "--data", str(data),
-                                      "--out", str(out), "--files", "1"])
-        assert result.exit_code == 0
-        config = json.loads((run_dir_of(out) / "config.json").read_text())
-        assert config["scenario"]["seed"] == 1234
-
     def test_byte_identical_reruns(self, runner, tmp_path):
         data = generate_cli_data(runner, tmp_path)
         outs = []

@@ -169,7 +169,7 @@ class TestMap:
         record = invoke(h, FunctionConfig("map", 128), map_handler,
                         self.payload({"A": 50, "B": 50}))
         assert record.outcome == "error"
-        assert "InjectedMapFailure" in record.error
+        assert "InjectedMapFailure" in repr(record.exception)
         assert h.kv.counter_get(EID) == (0, 0)
         assert self._entries(h, "A") == [] and self._entries(h, "B") == []
 

@@ -21,7 +21,7 @@ from microreduce.runtime import (
     load_ledger_csv,
     render_ledger_csv,
 )
-from microreduce.sim import Simulator
+from microreduce.sim import SimError, Simulator
 from microreduce.storage import KvItem, KvStore, MessageQueue, ObjectStore
 
 from conftest import drain
@@ -43,6 +43,27 @@ def busy_handler(units):
     def handler(ctx, payload):
         yield from ctx.work(units)
         return {"done": True}
+
+    return handler
+
+
+def latency_handler(ms):
+    def handler(ctx, payload):
+        yield ms
+        return ms
+
+    return handler
+
+
+def cleanup_handler(reraise):
+    # runs 10 ms of cleanup when the timeout is thrown in
+    def handler(ctx, payload):
+        try:
+            yield 10_000.0
+        except Exception:
+            yield 10.0
+            if reraise:
+                raise
 
     return handler
 
@@ -169,7 +190,7 @@ class TestInvocation:
 
         def wait_then_invoke():
             yield 5_000.0
-            record = yield rt.invoke(fn, busy_handler(5.0), {})
+            record = yield from rt.invocation(fn, busy_handler(5.0), {})
             return record
 
         proc = sim.spawn(wait_then_invoke())
@@ -200,15 +221,38 @@ class TestInvocation:
 
         record = rt.run_single(fn, broken, {})
         assert record.outcome == "error"
-        assert "boom" in record.error
+        assert "boom" in repr(record.exception)
         assert isinstance(record.exception, RuntimeError)
 
-    def test_timeout_is_exact_and_aborts(self):
-        rt = make_runtime()
+    @pytest.mark.parametrize("handler, outcome, duration, resumed_at", [
+        pytest.param(latency_handler(100_000.0), "timeout", 500.0, 500.0,
+                     id="latency-past-deadline"),
+        pytest.param(latency_handler(500.0), "timeout", 500.0, 500.0,
+                     id="latency-at-deadline"),
+        pytest.param(latency_handler(499.0), "ok", 499.0, 499.0, id="latency-before"),
+        pytest.param(cleanup_handler(reraise=True), "timeout", 500.0, 510.0,
+                     id="cleanup-reraised"),
+        pytest.param(cleanup_handler(reraise=False), "ok", 510.0, 510.0,
+                     id="cleanup-swallowed"),
+    ])
+    def test_timeout_is_exact_and_aborts(self, handler, outcome, duration, resumed_at):
+        sim = Simulator()
+        rt = make_runtime(sim=sim, cal=replace(DEFAULT_CALIBRATION, init_ms_mean=0.0,
+                                               init_ms_sigma=0.0))
         fn = FunctionConfig("fn", 1024, timeout_ms=500)
-        record = rt.run_single(fn, busy_handler(100_000.0), {})
-        assert record.outcome == "timeout"
-        assert record.duration_ms == 500.0
+        resumed = []
+
+        def caller():
+            record = yield from rt.invocation(fn, handler, {})
+            resumed.append(sim.now())
+            yield 1_000.0
+            resumed.append(sim.now())
+            return record
+
+        proc = sim.spawn(caller())
+        sim.run()
+        assert (proc.result.outcome, proc.result.duration_ms) == (outcome, duration)
+        assert resumed == [resumed_at, resumed_at + 1_000.0]
 
     def test_timeout_leaves_the_calling_process_running(self):
         sim = Simulator()
@@ -217,19 +261,12 @@ class TestInvocation:
         fn = FunctionConfig("fn", 1024, timeout_ms=500)
         resumed = []
 
-        def sleeper(ms):
-            def handler(ctx, payload):
-                yield ms
-                return ms
-
-            return handler
-
         def caller():
             records = []
             for ms in (10_000.0, 100.0):
-                records.append((yield from rt.invocation(fn, sleeper(ms), {})))
+                records.append((yield from rt.invocation(fn, latency_handler(ms), {})))
                 resumed.append(sim.now())
-            yield 20_000.0  # neither a stray interrupt nor a live timeout
+            yield 20_000.0  # no stray wake and no live timeout
             resumed.append(sim.now())
             return records
 
@@ -276,6 +313,28 @@ class TestInvocation:
         total = sum(r.billed_gb_ms for r in rt.ledger)
         assert total == sum((1536 / 1024) * r.duration_ms for r in rt.ledger)
         assert sum(r.cold_start for r in rt.ledger) <= len(rt.ledger)
+
+
+def test_handler_yielding_an_event_fails_loudly():
+    # a handler yields only latencies; a wait on an event is not one
+    sim = Simulator()
+    rt = make_runtime(sim=sim, cal=replace(DEFAULT_CALIBRATION, init_ms_mean=0.0,
+                                           init_ms_sigma=0.0))
+    ev = sim.event()
+
+    def waits(ctx, payload):
+        yield ev
+        return None
+
+    def trigger():
+        yield 100.0
+        ev.trigger()
+
+    sim.spawn(trigger())
+    rt.invoke(FunctionConfig("fn", 1024), waits, {})
+    with pytest.raises(SimError):
+        sim.run()
+    assert rt.ledger == []
 
 
 class TestConcurrencyCeiling:

@@ -1,4 +1,4 @@
-from microreduce.sim import Interrupted, SimError, Simulator
+from microreduce.sim import SimError, Simulator
 
 import pytest
 
@@ -47,7 +47,7 @@ def test_process_join_returns_result():
 
     def parent():
         proc = sim.spawn(child())
-        value = yield proc
+        value = yield proc.finished
         return value
 
     top = sim.spawn(parent())
@@ -84,39 +84,6 @@ def test_all_of_empty_triggers_immediately():
     top = sim.spawn(parent())
     sim.run()
     assert top.result == 0.0
-
-
-def test_interrupt_aborts_and_runs_finally():
-    sim = Simulator()
-    cleaned = []
-
-    def victim():
-        try:
-            yield 1000.0
-        finally:
-            cleaned.append(sim.now())
-
-    proc = sim.spawn(victim())
-    sim.call_in(100.0, proc.interrupt)
-    sim.run()
-    assert cleaned == [100.0]
-    assert proc.finished.triggered
-
-
-def test_interrupt_can_be_caught():
-    sim = Simulator()
-
-    def victim():
-        try:
-            yield 1000.0
-        except Interrupted:
-            return "caught"
-        return "missed"
-
-    proc = sim.spawn(victim())
-    sim.call_in(10.0, proc.interrupt)
-    sim.run()
-    assert proc.result == "caught"
 
 
 def test_run_until_event_stops_pumping():
@@ -185,11 +152,18 @@ def test_interleave_seed_randomizes_simultaneous_order_reproducibly():
 
 
 def test_negative_delay_rejected():
-    sim = Simulator()
+    # a process yields only a latency or an Event: a negative delay, None,
+    # a Process and a string are all rejected
+    def idle():
+        yield 1.0
 
-    def proc():
-        yield -1.0
+    for make in (lambda sim: -1.0, lambda sim: None,
+                 lambda sim: sim.spawn(idle()), lambda sim: "10"):
+        sim = Simulator()
 
-    sim.spawn(proc())
-    with pytest.raises(SimError):
-        sim.run()
+        def proc():
+            yield make(sim)
+
+        sim.spawn(proc())
+        with pytest.raises(SimError):
+            sim.run()
