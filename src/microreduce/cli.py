@@ -164,7 +164,7 @@ def run(selector: str, data_dir: str, out_dir: str, seed: Optional[int],
 
     run_dir = Path(out_dir) / result.execution_id
     run_dir.mkdir(parents=True, exist_ok=True)
-    _export_run(run_dir, result, scenario, data_dir, price_per_gb_s, request_price)
+    _export_run(run_dir, result, data_dir, price_per_gb_s, request_price)
     if dump_shuffle:
         result.objects.dump_to_dir(run_dir / "shuffle")
     _write_reports(run_dir, result.records, result.trace, "both",
@@ -189,8 +189,8 @@ def run(selector: str, data_dir: str, out_dir: str, seed: Optional[int],
         sys.exit(EXIT_FAILED)
 
 
-def _export_run(run_dir: Path, result: JobResult, scenario: ScenarioConfig,
-                data_dir: str, price_per_gb_s: float, request_price: float) -> None:
+def _export_run(run_dir: Path, result: JobResult, data_dir: str,
+                price_per_gb_s: float, request_price: float) -> None:
     if result.ranking_doc is not None:
         (run_dir / "ranking.json").write_text(
             json.dumps(result.ranking_doc, indent=2) + "\n", encoding="utf-8"
@@ -225,7 +225,7 @@ def _export_run(run_dir: Path, result: JobResult, scenario: ScenarioConfig,
         render_concurrency_csv(concurrency_series(result.records)), encoding="utf-8"
     )
     effective = {
-        "scenario": scenario.to_dict(),
+        "scenario": result.scenario.to_dict(),
         "data_dir": str(data_dir),
         "status": result.status,
         "price_per_gb_s": price_per_gb_s,

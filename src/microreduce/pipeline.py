@@ -1,10 +1,11 @@
 """The five pipeline functions: ingest, map, reduce gate, reduce
 aggregate, reduce rank.
 
-Handlers are generator functions executed by the runtime; every shared
-effect flows through the storage clients, so any number of instances can
-run concurrently.  The gate runs as a workflow wait-loop, not as a
-function invocation.
+Handlers are generator functions ``handler(env, ctx, payload)`` executed by
+the runtime once the workflow binds the job's ``PipelineEnv`` as ``env``;
+every shared effect flows through ``ctx.clients``, so any number of
+instances can run concurrently.  The gate runs as a workflow wait-loop, not
+as a function invocation.
 """
 
 from __future__ import annotations
@@ -63,14 +64,9 @@ class GateState:
 class PipelineEnv:
     """Per-job wiring shared by all handler instances."""
 
-    clients: StorageClients
     port: object  # a shuffle adapter
     batch_size: int = 100
     map_failure_rate: float = 0.0
-
-
-def _env(ctx: InvocationContext) -> PipelineEnv:
-    return ctx.extras["env"]
 
 
 def batch_body(execution_id: str, seq: int, source_file: str,
@@ -87,14 +83,13 @@ def batch_body(execution_id: str, seq: int, source_file: str,
     )
 
 
-def ingest_handler(ctx: InvocationContext, payload: dict):
+def ingest_handler(env: PipelineEnv, ctx: InvocationContext, payload: dict):
     """Download one raw CSV, drop invalid rows, emit micro-batches, then
     write the ingested counter once everything is on the queue."""
-    env = _env(ctx)
     event = IngestEvent.from_dict(payload)
     cal = ctx.cal
 
-    body = yield from env.clients.raw_object_get(event.object_key)
+    body = yield from ctx.clients.raw_object_get(event.object_key)
     ctx.note_memory(40 + 3 * len(body) // (1024 * 1024))
     parsed = parse_csv(body)  # raises on a broken header; nothing counted
 
@@ -108,7 +103,7 @@ def ingest_handler(ctx: InvocationContext, payload: dict):
         yield from ctx.work(
             (stop - start) * cal.ingest_row_units + cal.ingest_batch_units
         )
-        yield from env.clients.queue_send(
+        yield from ctx.clients.queue_send(
             batch_body(event.execution_id, batches_emitted, event.object_key, records)
         )
         batches_emitted += 1
@@ -116,7 +111,7 @@ def ingest_handler(ctx: InvocationContext, payload: dict):
     if n_valid > 0:
         # Deliberately last: the gate must never observe a completed
         # ingest count while sends are still in flight.
-        yield from env.clients.counter_add(event.execution_id, "ingested", n_valid)
+        yield from ctx.clients.counter_add(event.execution_id, "ingested", n_valid)
     return {
         "batches_emitted": batches_emitted,
         "records_emitted": n_valid,
@@ -125,10 +120,9 @@ def ingest_handler(ctx: InvocationContext, payload: dict):
     }
 
 
-def map_handler(ctx: InvocationContext, payload: dict):
+def map_handler(env: PipelineEnv, ctx: InvocationContext, payload: dict):
     """Group one micro-batch by carrier and write one shuffle entry per
     distinct carrier, counting the rows only after every write landed."""
-    env = _env(ctx)
     cal = ctx.cal
     execution_id = payload["execution_id"]
     records = payload["records"]
@@ -161,7 +155,7 @@ def map_handler(ctx: InvocationContext, payload: dict):
         )
         raise
 
-    yield from env.clients.counter_add(execution_id, "mapped", len(records))
+    yield from ctx.clients.counter_add(execution_id, "mapped", len(records))
     return {"entries_written": len(written)}
 
 
@@ -205,9 +199,8 @@ def reduce_gate(
                      overridden=override_on_stall)
 
 
-def reduce_aggregate_handler(ctx: InvocationContext, payload: dict):
+def reduce_aggregate_handler(env: PipelineEnv, ctx: InvocationContext, payload: dict):
     """Merge every shuffle entry of one partition into a single aggregate."""
-    env = _env(ctx)
     partition_key = payload["partition_key"]
     entries = yield from env.port.read_partition(ctx.execution_id, partition_key)
     if not entries:
@@ -221,23 +214,22 @@ def reduce_aggregate_handler(ctx: InvocationContext, payload: dict):
         count += entry.count
     yield from ctx.work(len(entries) * ctx.cal.reduce_merge_units_per_entry)
     ctx.note_memory(40 + len(entries) // 500)
-    yield from env.clients.results_put(ctx.execution_id, partition_key, delay_sum, count)
+    yield from ctx.clients.results_put(ctx.execution_id, partition_key, delay_sum, count)
     return {"carrier": partition_key, "delay_sum": delay_sum, "count": count,
             "entries_read": len(entries)}
 
 
-def reduce_rank_handler(ctx: InvocationContext, payload: dict):
+def reduce_rank_handler(env: PipelineEnv, ctx: InvocationContext, payload: dict):
     """Load all per-carrier aggregates, rank them, persist the result."""
-    env = _env(ctx)
     limit = payload.get("limit", 10)
-    rows = yield from env.clients.results_list(ctx.execution_id)
+    rows = yield from ctx.clients.results_list(ctx.execution_id)
     aggs = [CarrierAggregate(carrier=c, delay_sum=s, count=n) for c, s, n in rows]
     yield from ctx.work(
         ctx.cal.rank_base_units + len(aggs) * ctx.cal.rank_per_carrier_units
     )
     ranking = rank_carriers(aggs, limit=limit)
     doc = ranking_doc(ranking)
-    yield from env.clients.object_put(
+    yield from ctx.clients.object_put(
         f"rankings/{ctx.execution_id}.json",
         json.dumps(doc, separators=(",", ":")).encode("utf-8"),
     )

@@ -230,9 +230,9 @@ class StorageClients:
         yield self.cal.queue_send_ms
         self.queue.send(body)
 
-    def queue_receive(self, max_messages: int = 1):
+    def queue_receive(self):
         yield self.cal.queue_receive_ms
-        return self.queue.receive(max_messages)
+        return self.queue.receive()
 
     def queue_delete(self, receipt: int):
         yield self.cal.queue_delete_ms
@@ -240,31 +240,24 @@ class StorageClients:
 
 
 class InvocationContext:
-    """What a handler sees: clock, clients, seeded RNG, work charging."""
+    """What a handler sees: config, clients, seeded RNG, work charging."""
 
     def __init__(
         self,
-        sim: Simulator,
         config: FunctionConfig,
         cal: CalibrationTable,
         clients: StorageClients,
         execution_id: str,
         instance_id: str,
         rng: Random,
-        extras: dict,
     ):
-        self.sim = sim
         self.config = config
         self.cal = cal
         self.clients = clients
         self.execution_id = execution_id
         self.instance_id = instance_id
         self.rng = rng
-        self.extras = extras
         self._mem_watermark_mb = 35
-
-    def now(self) -> float:
-        return self.sim.now()
 
     def work(self, units: float):
         """Charge ``units`` of compute, scaled by the worker pool."""
@@ -282,7 +275,8 @@ class InvocationContext:
 #: A generator function ``handler(ctx, payload)`` run in the invoking
 #: process.  It yields only latencies (numbers); the invocation enforces the
 #: deadline between them and raises ``SimError`` on any other yield.  Its
-#: return value becomes the record's ``result``.
+#: return value becomes the record's ``result``.  The pipeline's handlers
+#: take a ``PipelineEnv`` first, bound with ``functools.partial``.
 Handler = Callable[[InvocationContext, Any], Any]
 
 
@@ -342,10 +336,9 @@ class FunctionRuntime:
         handler: Handler,
         payload: Any,
         execution_id: str = "",
-        extras: Optional[dict] = None,
     ) -> Process:
         """Spawn one invocation; the process result is its InvocationRecord."""
-        return self.sim.spawn(self.invocation(fn, handler, payload, execution_id, extras),
+        return self.sim.spawn(self.invocation(fn, handler, payload, execution_id),
                               name=f"invoke-{fn.name}")
 
     def invocation(
@@ -354,7 +347,6 @@ class FunctionRuntime:
         handler: Handler,
         payload: Any,
         execution_id: str = "",
-        extras: Optional[dict] = None,
     ):
         """Run one invocation in the calling process; returns its InvocationRecord.
 
@@ -378,10 +370,7 @@ class FunctionRuntime:
             yield init_ms
         start = self.sim.now()
         rng = Random(("invocation", self._seed, instance_id).__repr__())
-        ctx = InvocationContext(
-            self.sim, fn, self.cal, self.clients, execution_id, instance_id, rng,
-            extras or {},
-        )
+        ctx = InvocationContext(fn, self.cal, self.clients, execution_id, instance_id, rng)
         result = error = None
         deadline = start + fn.timeout_ms
         gen = handler(ctx, payload)
@@ -446,15 +435,9 @@ class FunctionRuntime:
     # -- queue event source --------------------------------------------------
 
     def attach_queue_source(
-        self,
-        fn: FunctionConfig,
-        queue: MessageQueue,
-        handler: Handler,
-        batch_size: int = 1,
-        decode: Callable[[str], Any] = json.loads,
-        extras: Optional[dict] = None,
+        self, fn: FunctionConfig, queue: MessageQueue, handler: Handler
     ) -> "QueueSource":
-        source = QueueSource(self, fn, queue, handler, batch_size, decode, extras or {})
+        source = QueueSource(self, fn, queue, handler)
         source.start()
         return source
 
@@ -475,25 +458,12 @@ class QueueSource:
     ledger and the trace equal those of polling at every tick.
     """
 
-    def __init__(
-        self,
-        runtime: FunctionRuntime,
-        fn: FunctionConfig,
-        queue: MessageQueue,
-        handler: Handler,
-        batch_size: int,
-        decode: Callable[[str], Any],
-        extras: Optional[dict] = None,
-    ):
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+    def __init__(self, runtime: FunctionRuntime, fn: FunctionConfig, queue: MessageQueue,
+                 handler: Handler):
         self.runtime = runtime
         self.fn = fn
         self.queue = queue
         self.handler = handler
-        self.batch_size = batch_size
-        self.decode = decode
-        self.extras = extras or {}
         self.pool_size = 0
         self.pool_history: list[tuple[float, int]] = []
         self._stopped = False
@@ -534,15 +504,14 @@ class QueueSource:
     def _consumer(self):
         clients = self.runtime.clients
         while not self._stopped:
-            messages = yield from clients.queue_receive(self.batch_size)
+            messages = yield from clients.queue_receive()
             if not messages:
                 messages = yield _IdleConsumer(self, self.runtime.sim.now()).delivered
             for msg in messages:
-                payload = self.decode(msg.body)
+                payload = json.loads(msg.body)
                 execution_id = payload.get("execution_id", "") if isinstance(payload, dict) else ""
-                record = yield from self.runtime.invocation(
-                    self.fn, self.handler, payload, execution_id, self.extras
-                )
+                record = yield from self.runtime.invocation(self.fn, self.handler, payload,
+                                                            execution_id)
                 if record.outcome == "ok":
                     yield from clients.queue_delete(msg.receipt)
                 # otherwise leave it; visibility expiry redelivers or retires
@@ -598,7 +567,7 @@ class _IdleConsumer:
     def _wake(self) -> None:
         self.handle = self.wake_at = None
         source = self.source
-        messages = [] if source._stopped else source.queue.receive(source.batch_size)
+        messages = [] if source._stopped else source.queue.receive()
         if messages or source._stopped:
             source._awaiting_send.pop(self, None)
             self.delivered.trigger(messages)

@@ -13,6 +13,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
+from functools import partial
 from random import Random
 from typing import Optional
 
@@ -149,40 +150,24 @@ def phase_breakdown(trace: ExecutionTrace) -> PhaseBreakdown:
     return phase_breakdown_from_durations(seconds)
 
 
-@dataclass
-class JobResult:
-    execution_id: str
-    status: str  # completed | stalled | failed
-    reason: str
-    ranking: Optional[RankingResult]
-    ranking_doc: Optional[list[dict]]
-    trace: ExecutionTrace
-    gate: Optional[GateState]
-    ingested: int
-    mapped: int
-    partitions: list[str]
-    skipped_partitions: list[str]
-    dlq_batches: int
-    dlq_rows: int
-    records: list[InvocationRecord]
-    valid_input_rows: int
-    total_input_rows: int
-    # live backends, for inspection and persistence
-    runtime: FunctionRuntime
-    kv: KvStore
-    objects: ObjectStore
-    queue: MessageQueue
-    scenario: ScenarioConfig
-
-
 class _JobFailed(Exception):
     def __init__(self, reason: str):
         super().__init__(reason)
         self.reason = reason
 
 
-class _Job:
-    """Mutable wiring for one execution."""
+def _task_failed(what: str, record: InvocationRecord) -> _JobFailed:
+    """The job failure for a task whose last attempt was ``record``."""
+    if record.outcome == "timeout":
+        cause = f"timed out after {record.duration_ms:.0f} ms"
+    else:
+        cause = repr(record.exception)
+    return _JobFailed(f"{what}: {cause}")
+
+
+class JobResult:
+    """One execution: its wiring, its live stores and runtime, and the
+    outcome that ``run_job`` fills in."""
 
     def __init__(self, scenario: ScenarioConfig, raw_store: ObjectStore,
                  file_keys: list[str], cal: CalibrationTable):
@@ -191,7 +176,6 @@ class _Job:
         seed = scenario.seed
         self.sim = Simulator(interleave_seed=scenario.interleave_seed)
         self.execution_id = new_execution_id(Random(("execution", seed).__repr__()))
-        self.raw = raw_store
         self.objects = ObjectStore(fault_rate=scenario.object_fault_rate,
                                    fault_seed=seed)
         self.kv = KvStore(clock=self.sim.now,
@@ -204,8 +188,7 @@ class _Job:
                                       kv=self.kv, queue=self.queue)
         self.port = make_adapter(scenario.shuffle_system, self.clients)
         self.runtime = FunctionRuntime(self.sim, self.clients, seed=seed)
-        self.env = PipelineEnv(clients=self.clients, port=self.port,
-                               batch_size=scenario.batch_size,
+        self.env = PipelineEnv(port=self.port, batch_size=scenario.batch_size,
                                map_failure_rate=scenario.map_failure_rate)
         self.file_keys = file_keys
         self.trace = ExecutionTrace(self.execution_id)
@@ -214,12 +197,19 @@ class _Job:
         self.fn_map = FunctionConfig("map", scenario.map_memory_mb)
         self.fn_reduce1 = FunctionConfig("reduce1", scenario.reduce1_memory_mb)
         self.fn_reduce2 = FunctionConfig("reduce2", scenario.reduce2_memory_mb)
+        self.status = ""  # completed | stalled | failed
+        self.reason = ""
         self.gate: Optional[GateState] = None
         self.partitions: list[str] = []
-        self.skipped: list[str] = []
         self.ranking_doc: Optional[list[dict]] = None
+        self.ranking: Optional[RankingResult] = None
         self.valid_input_rows = 0
-        self.total_input_rows = 0
+        self.ingested = self.mapped = 0
+        self.dlq_batches = self.dlq_rows = 0
+
+    @property
+    def records(self) -> list[InvocationRecord]:
+        return self.runtime.ledger
 
     # trace helpers
 
@@ -241,13 +231,13 @@ class _Job:
             )
 
 
-def _task_with_retries(job: _Job, state: str, fn: FunctionConfig, handler, payload,
+def _task_with_retries(job: JobResult, state: str, fn: FunctionConfig, handler, payload,
                        retries: int = 2, backoff_ms: float = 1000.0):
     """Run one task state; retry transient failures, never degenerate input."""
+    bound = partial(handler, job.env)
     attempt = 0
     while True:
-        record = yield from job.runtime.invocation(fn, handler, payload, job.execution_id,
-                                                   extras={"env": job.env})
+        record = yield from job.runtime.invocation(fn, bound, payload, job.execution_id)
         job.trace.add(job.sim.now(), state, record.instance_id, record.outcome,
                       record.duration_ms)
         if record.outcome == "ok":
@@ -260,12 +250,10 @@ def _task_with_retries(job: _Job, state: str, fn: FunctionConfig, handler, paylo
         yield backoff_ms
 
 
-def _orchestrate(job: _Job):
-    trace_t0: Optional[float] = None
+def _orchestrate(job: JobResult):
     try:
         # ParallelIngest
         entered = job.enter("ParallelIngest")
-        trace_t0 = entered
         events = [IngestEvent(job.execution_id, "raw", key).to_dict()
                   for key in job.file_keys]
         job.check_payload(events)
@@ -278,16 +266,13 @@ def _orchestrate(job: _Job):
             for event in events
         ]
         yield job.sim.all_of(tasks)
-        emitted = 0
         for task in tasks:
             record, ok = task.result
             if not ok:
                 job.exit("ParallelIngest", "failed", entered)
-                raise _JobFailed(f"ingest failed after retries: {record.exception!r}")
-            emitted += record.result["records_emitted"]
+                raise _task_failed("ingest failed after retries", record)
             job.valid_input_rows += record.result["records_emitted"]
-            job.total_input_rows += record.result["total_rows"]
-        if emitted == 0:
+        if job.valid_input_rows == 0:
             job.exit("ParallelIngest", "failed", entered)
             raise _JobFailed("empty input: no valid rows in any input file")
         job.exit("ParallelIngest", "completed", entered)
@@ -337,12 +322,9 @@ def _orchestrate(job: _Job):
         yield job.sim.all_of(agg_tasks)
         for pk, task in zip(partitions, agg_tasks):
             record, ok = task.result
-            if ok:
-                continue
-            if isinstance(record.exception, DegenerateAggregateError):
-                job.skipped.append(pk)  # listed partition with no rows
-            else:
-                raise _JobFailed(f"aggregate for {pk!r} failed: {record.exception!r}")
+            # a listed partition with no rows is skipped
+            if not ok and not isinstance(record.exception, DegenerateAggregateError):
+                raise _task_failed(f"aggregate for {pk!r} failed", record)
         job.exit("ParallelReduceAggregate", "completed", entered)
         yield job.cal.workflow_transition_ms
 
@@ -353,13 +335,13 @@ def _orchestrate(job: _Job):
             {"limit": job.scenario.ranking_limit},
         )
         if not ok:
-            raise _JobFailed(f"ranking failed: {record.exception!r}")
+            raise _task_failed("ranking failed", record)
         job.ranking_doc = record.result["ranking"]
         job.exit("ReduceRank", "completed", entered)
-        return {"status": "completed", "reason": ""}
+        job.status = "completed"
     except _JobFailed as failure:
-        status = "stalled" if job.gate is not None and not job.gate.passes else "failed"
-        return {"status": status, "reason": failure.reason}
+        job.status = "stalled" if job.gate is not None and not job.gate.passes else "failed"
+        job.reason = failure.reason
 
 
 def run_job(
@@ -380,46 +362,21 @@ def run_job(
     if not file_keys:
         raise ValueError("no input files")
 
-    job = _Job(scenario, raw_store, file_keys, cal)
-    source = job.runtime.attach_queue_source(
-        job.fn_map, job.queue, map_handler, batch_size=1, extras={"env": job.env}
-    )
+    job = JobResult(scenario, raw_store, file_keys, cal)
+    source = job.runtime.attach_queue_source(job.fn_map, job.queue,
+                                             partial(map_handler, job.env))
     orchestrator = job.sim.spawn(_orchestrate(job), name="workflow")
     job.sim.run(until=orchestrator.finished)
     source.stop()
-    outcome = orchestrator.result
 
-    ranking = None
     if job.ranking_doc is not None:
-        ranking = RankingResult(
+        job.ranking = RankingResult(
             entries=tuple((d["carrier"], d["on_time_performance"])
                           for d in job.ranking_doc),
             limit=scenario.ranking_limit,
         )
-    dlq_rows = 0
     for body in job.queue.dlq_bodies:
-        dlq_rows += len(json.loads(body)["records"])
-    ingested, mapped = job.kv.counter_get(job.execution_id)
-    return JobResult(
-        execution_id=job.execution_id,
-        status=outcome["status"],
-        reason=outcome["reason"],
-        ranking=ranking,
-        ranking_doc=job.ranking_doc,
-        trace=job.trace,
-        gate=job.gate,
-        ingested=ingested,
-        mapped=mapped,
-        partitions=job.partitions,
-        skipped_partitions=job.skipped,
-        dlq_batches=job.queue.dlq_count(),
-        dlq_rows=dlq_rows,
-        records=job.runtime.ledger,
-        valid_input_rows=job.valid_input_rows,
-        total_input_rows=job.total_input_rows,
-        runtime=job.runtime,
-        kv=job.kv,
-        objects=job.objects,
-        queue=job.queue,
-        scenario=scenario,
-    )
+        job.dlq_rows += len(json.loads(body)["records"])
+    job.ingested, job.mapped = job.kv.counter_get(job.execution_id)
+    job.dlq_batches = job.queue.dlq_count()
+    return job

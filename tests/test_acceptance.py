@@ -7,6 +7,7 @@ from __future__ import annotations
 import json
 import os
 import time
+from functools import partial
 from random import Random
 
 import pytest
@@ -70,10 +71,10 @@ def run_anchor_ingest(raw: ObjectStore, memory_mb: int, workers: int) -> Invocat
                              raw_objects=raw, kv=KvStore(clock=sim.now),
                              queue=MessageQueue(clock=sim.now))
     runtime = FunctionRuntime(sim, clients, seed=0)
-    env = PipelineEnv(clients=clients, port=make_adapter("object", clients))
+    env = PipelineEnv(port=make_adapter("object", clients))
     fn = FunctionConfig("ingest", memory_mb, workers=workers)
     event = IngestEvent(EID, "raw", "part-0000.csv").to_dict()
-    proc = runtime.invoke(fn, ingest_handler, event, EID, extras={"env": env})
+    proc = runtime.invoke(fn, partial(ingest_handler, env), event, EID)
     sim.run(until=proc.finished)
     record = proc.result
     assert record.outcome == "ok"
@@ -199,11 +200,11 @@ def test_c04_microbatch_shuffle_arithmetic():
                              raw_objects=ObjectStore(), kv=KvStore(clock=sim.now),
                              queue=MessageQueue(clock=sim.now))
     runtime = FunctionRuntime(sim, clients, seed=0)
-    env = PipelineEnv(clients=clients, port=make_adapter("object", clients))
+    env = PipelineEnv(port=make_adapter("object", clients))
     records = ([["A", 1]] * 30 + [["B", 2]] * 30 + [["C", 3]] * 30 + [["D", 4]] * 10)
     payload = {"execution_id": EID, "seq": 0, "source_file": "f", "records": records}
-    proc = runtime.invoke(FunctionConfig("map", 128), map_handler, payload, EID,
-                          extras={"env": env})
+    proc = runtime.invoke(FunctionConfig("map", 128), partial(map_handler, env),
+                          payload, EID)
     sim.run(until=proc.finished)
     assert proc.result.result == {"entries_written": 4}
     assert len(clients.objects.list(f"{EID}/")) == 4

@@ -1,4 +1,5 @@
 import json
+from functools import partial
 from types import SimpleNamespace
 
 from microreduce.calibration import DEFAULT_CALIBRATION
@@ -41,7 +42,7 @@ def make_harness(shuffle="object", throttle=None, batch_size=100,
     )
     port = make_adapter(shuffle, clients)
     runtime = FunctionRuntime(sim, clients, seed=seed)
-    env = PipelineEnv(clients=clients, port=port, batch_size=batch_size,
+    env = PipelineEnv(port=port, batch_size=batch_size,
                       map_failure_rate=map_failure_rate)
     return SimpleNamespace(sim=sim, clients=clients, port=port, runtime=runtime,
                            env=env, kv=clients.kv, queue=clients.queue,
@@ -49,7 +50,7 @@ def make_harness(shuffle="object", throttle=None, batch_size=100,
 
 
 def invoke(h, fn, handler, payload, eid=EID):
-    proc = h.runtime.invoke(fn, handler, payload, eid, extras={"env": h.env})
+    proc = h.runtime.invoke(fn, partial(handler, h.env), payload, eid)
     h.sim.run(until=proc.finished)
     return proc.result
 
@@ -118,7 +119,7 @@ class TestIngest:
                 yield 1.0
 
         h.sim.spawn(watcher())
-        proc = h.runtime.invoke(fn, ingest_handler, event, EID, extras={"env": h.env})
+        proc = h.runtime.invoke(fn, partial(ingest_handler, h.env), event, EID)
         h.sim.run(until=proc.finished)
         assert proc.result.outcome == "ok"
         assert not violations

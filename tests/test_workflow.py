@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from microreduce import workflow
 from microreduce.data import GenSpec, generate_dataset, reference_kv_workload_spec
 from microreduce.runtime import render_ledger_csv
 from microreduce.scenarios import ScenarioConfig, preset
@@ -188,6 +189,19 @@ class TestRunJob:
         result = run_job(scenario(files=1), raw, file_keys=long_keys)
         assert result.status == "failed"
         assert "payload" in result.reason
+
+    @pytest.mark.parametrize(
+        "handler", ["ingest_handler", "reduce_aggregate_handler", "reduce_rank_handler"]
+    )
+    def test_timed_out_task_names_its_timeout(self, monkeypatch, handler):
+        def overrun(env, ctx, payload):
+            yield 1e9
+
+        monkeypatch.setattr(workflow, handler, overrun)
+        raw, _ = small_dataset(files=1, rows=300)
+        result = run_job(scenario(files=1), raw)
+        assert result.status == "failed"
+        assert result.reason.endswith("timed out after 900000 ms"), result.reason
 
 
 class TestPhaseBreakdown:
