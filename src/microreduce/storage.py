@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import json
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from random import Random
 from typing import Callable, Optional

@@ -1,4 +1,10 @@
+import csv
+import hashlib
+import io
 import json
+import tracemalloc
+from itertools import islice
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -10,11 +16,15 @@ from microreduce.data import (
     GenLedger,
     GenSpec,
     MissingColumnError,
+    _CHUNK_ROWS,
     _apportion,
+    _lines,
     generate_dataset,
     parse_csv,
+    reference_kv_workload_spec,
     resolve_schema,
 )
+from microreduce import data, kernels
 from microreduce.storage import ObjectStore
 
 
@@ -94,6 +104,131 @@ def test_parser_is_total_on_arbitrary_bytes(blob):
     parsed = parse_csv(body)
     assert parsed.stats.valid_rows + parsed.stats.invalid_rows == parsed.stats.total_rows
     assert len(parsed.carriers) == parsed.stats.valid_rows
+
+
+# The alphabet holds every character csv.reader, StringIO and str.splitlines
+# disagree on: quotes, a bare CR, CRLF, form feed, NEL and NUL.
+_CSV_TEXT = st.lists(
+    st.sampled_from(["a", "b", ",", '"', "\n", "\r", "\r\n", "\x0c", "\x85", "\x00", "1"]),
+    max_size=200,
+).map("".join)
+
+
+def _stringio_rows(text: str):
+    """The rows the parser yielded when it read through ``io.StringIO``."""
+    reader = csv.reader(io.StringIO(text))
+    consumed = 0
+    try:
+        for row in reader:
+            consumed = reader.line_num
+            yield row
+    except csv.Error:
+        offset = sum(len(line) for line in islice(io.StringIO(text), consumed))
+        for line in text[offset:].splitlines():
+            yield line.split(",")
+
+
+# Blocks of a few characters put block cuts all through the drawn text.
+_BLOCK_SIZES = st.integers(min_value=1, max_value=16)
+
+
+@given(_CSV_TEXT, _BLOCK_SIZES)
+@settings(max_examples=500)
+def test_lines_split_as_stringio_iterates(text, block):
+    with mock.patch.object(data, "_BLOCK_CHARS", block):
+        assert list(_lines(text)) == list(io.StringIO(text))
+
+
+@given(_CSV_TEXT, _BLOCK_SIZES)
+@settings(max_examples=500)
+def test_parse_matches_the_stringio_reader(text, block):
+    body = CSV_HEADER + "\n" + text
+    rows = _stringio_rows(body)
+    schema = resolve_schema(next(rows))
+    carriers, delays, total, invalid = kernels.scan_rows(
+        rows, schema.carrier_idx, schema.delay_idx, schema.cancelled_idx
+    )
+    with mock.patch.object(data, "_BLOCK_CHARS", block):
+        parsed = parse_csv(body)
+    assert (parsed.carriers, parsed.delays) == (carriers, delays)
+    assert (parsed.stats.total_rows, parsed.stats.invalid_rows) == (total, invalid)
+
+
+def _padded_spec() -> GenSpec:
+    # Anchor-shaped rows: 30,000 x 309 bytes, ~9.3 MB.
+    return GenSpec(files=1, rows_per_file=30_000, seed=606, row_pad_to_bytes=309)
+
+
+def test_generating_a_file_peaks_below_twice_its_body():
+    store = ObjectStore()
+    tracemalloc.start()
+    try:
+        generate_dataset(_padded_spec(), store)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    body = store.get("part-0000.csv")
+    assert len(body) == 30_000 * 309 + len(CSV_HEADER) + 1
+    assert peak <= 2 * len(body), f"peak {peak / len(body):.2f}x the body"
+
+
+def test_parse_peaks_below_twice_the_body():
+    store = ObjectStore()
+    generate_dataset(_padded_spec(), store)
+    body = store.get("part-0000.csv")
+    tracemalloc.start()
+    try:
+        parsed = parse_csv(body)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert parsed.stats.total_rows == 30_000
+    assert peak <= 2 * len(body), f"parse adds {peak / len(body):.2f}x the body"
+
+
+#: SHA-256 over every generated file body, in order, then the ledger JSON;
+#: computed with the generator that joined every row of a file at once.
+GENERATOR_PINS = {
+    "clustered-padded": (
+        GenSpec(files=1, rows_per_file=6_000, seed=606, row_pad_to_bytes=309),
+        "1832a26589fa98445bee18cc315ac4456f49ce59222878d835b3391d7495f5c1",
+    ),
+    "shuffled-invalid": (
+        GenSpec(files=2, rows_per_file=6_000, invalid_fraction=0.02, seed=7,
+                row_order="shuffled"),
+        "bc32673fbcc1dfc334532e39d23317b30238ab5ad3dce816b6ce6a270d5ac20c",
+    ),
+    "reference-kv": (
+        reference_kv_workload_spec(),
+        "43c0d6403e826fdbe3549f886103370fde2b30db0c460d44794b1b87b81eac65",
+    ),
+    "one-row": (
+        GenSpec(files=2, rows_per_file=1, seed=5),
+        "e04abb26cdaf34cc79cf09c561b1f84eb07ed5251a54a0b3e683b94eb6e66537",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GENERATOR_PINS))
+def test_generated_bytes_and_ledger_are_pinned(name):
+    spec, digest = GENERATOR_PINS[name]
+    # More than two chunks, so a chunk boundary and a resumed chunk are hit.
+    assert spec.rows_per_file == 1 or spec.rows_per_file > 2 * _CHUNK_ROWS
+    store = ObjectStore()
+    ledger = generate_dataset(spec, store)
+    h = hashlib.sha256()
+    for key in ledger.file_names:
+        h.update(store.get(key))
+    h.update(ledger.to_json().encode())
+    assert h.hexdigest() == digest
+
+
+def test_ledger_counts_a_last_row_that_fills_its_chunk():
+    rows = 2 * _CHUNK_ROWS
+    store = ObjectStore()
+    ledger = generate_dataset(GenSpec(files=1, rows_per_file=rows, seed=1), store)
+    assert ledger.total == rows == sum(c for _, c in ledger.carriers.values())
+    assert parse_csv(store.get("part-0000.csv")).stats.total_rows == rows
 
 
 class TestGenerator:
