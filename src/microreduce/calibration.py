@@ -51,7 +51,16 @@ def effective_parallelism(workers: int, vcpu_count: int, parallel_fraction: floa
 
 @dataclass(frozen=True)
 class CalibrationTable:
-    """All virtual-time constants, loadable from a key=value file."""
+    """Virtual-time constants, loadable from a key=value file.
+
+    Three constants still live outside this table, so a calibration file
+    cannot change them:
+
+    - the 60,000 ms scaling period of ``runtime.QueueSource._manager``;
+    - the 1,000 ms retry backoff of ``workflow._task_with_retries``;
+    - the 900,000 ms default ``FunctionConfig.timeout_ms``
+      (``runtime.MAX_TIMEOUT_MS``, also its upper bound).
+    """
 
     # work rates (units are milliseconds of single-lane compute)
     base_rate_units_per_ms: float = 1.0

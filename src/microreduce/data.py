@@ -11,6 +11,14 @@ times the body on top of it, for anchor-shaped rows.  The generator
 encodes rows into a ``BytesIO`` a chunk at a time, so it peaks near 1.25
 times the body it returns; only ``row_order="shuffled"`` holds every row
 string at once, because it must shuffle them.
+
+Parse has one line model: a line ends at ``\n`` and nowhere else.  If
+``csv.reader`` raises (a field over ``csv.field_size_limit()``, or a bare
+``\r`` inside an unquoted field), parse resumes over the same lines at
+the first record the reader did not yield, and splits each remaining
+line at ``,`` after stripping its trailing ``\r``/``\n`` characters.  So
+a row reads the same whatever an earlier line held, and parse still
+holds about 1.25 times the body after a reader error.
 """
 
 from __future__ import annotations
@@ -112,10 +120,10 @@ def _iter_rows(text: str):
             yield row
     except csv.Error:
         # Fall back to a naive split so hostile bytes still parse totally,
-        # resuming at the first record the reader did not yield.
-        offset = sum(map(len, islice(_lines(text), consumed)))
-        for line in text[offset:].splitlines():
-            yield line.split(",")
+        # resuming over the same lines at the first record the reader did
+        # not yield.
+        for line in islice(_lines(text), consumed, None):
+            yield line.rstrip("\r\n").split(",")
 
 
 def parse_csv(data: bytes | str) -> ParsedFile:
@@ -187,6 +195,12 @@ class GenSpec:
             raise ValueError("invalid_fraction must be in [0, 1)")
         if self.row_order not in ("clustered", "shuffled"):
             raise ValueError(f"unknown row_order {self.row_order!r}")
+        if self.row_pad_to_bytes < 0:
+            raise ValueError("row_pad_to_bytes must not be negative")
+        for code in (c.code for c in self.carriers):
+            # A code is written as one unquoted field and read back stripped.
+            if not code or code != code.strip() or any(ch in code for ch in ',"\r\n'):
+                raise ValueError(f"carrier code {code!r} does not parse back as itself")
         total_weight = sum(c.weight for c in self.carriers)
         if abs(total_weight - 1.0) > 1e-9:
             raise ValueError(f"carrier weights must sum to 1, got {total_weight}")

@@ -54,6 +54,19 @@ class TestGenData:
         assert result.exit_code != 0
         assert "bad generator spec" in result.output
 
+    @pytest.mark.parametrize("overrides", [
+        {"carriers": [{"code": "A,B", "weight": 1.0, "delay_mean": 0, "delay_sigma": 1}]},
+        {"carriers": [{"code": "", "weight": 1.0, "delay_mean": 0, "delay_sigma": 1}]},
+        {"row_pad_to_bytes": -1},
+    ], ids=["comma-code", "empty-code", "negative-pad"])
+    def test_spec_that_cannot_round_trip_fails(self, runner, tmp_path, overrides):
+        spec = gen_spec_file(tmp_path, **overrides)
+        out = tmp_path / "x"
+        result = runner.invoke(main, ["gen-data", "--spec", str(spec), "--out", str(out)])
+        assert result.exit_code != 0
+        assert "bad generator spec" in result.output
+        assert not out.exists()
+
 
 def generate_cli_data(runner, tmp_path, **overrides) -> Path:
     spec = gen_spec_file(tmp_path, **overrides)

@@ -34,6 +34,15 @@ def small_spec(**kwargs) -> GenSpec:
     return GenSpec(**defaults)
 
 
+def valid_row(carrier: str = "AA") -> str:
+    """One valid 29-column row for ``carrier`` with an arrival delay of 15."""
+    return ",".join(
+        ["2001", "5", "9", "3", "900", "855", "1100", "1045", carrier, "100",
+         "N1AA", "120", "110", "100", "15", "5", "ORD", "DFW", "800", "5",
+         "10", "0", "", "0", "0", "0", "0", "0", "0"]
+    )
+
+
 class TestParse:
     def test_header_only_file(self):
         parsed = parse_csv(CSV_HEADER + "\n")
@@ -41,12 +50,7 @@ class TestParse:
         assert parsed.carriers == [] and parsed.delays == []
 
     def test_single_row_maps_directly(self):
-        row = ",".join(
-            ["2001", "5", "9", "3", "900", "855", "1100", "1045", "AA", "100",
-             "N1AA", "120", "110", "100", "15", "5", "ORD", "DFW", "800", "5",
-             "10", "0", "", "0", "0", "0", "0", "0", "0"]
-        )
-        parsed = parse_csv(CSV_HEADER + "\n" + row + "\n")
+        parsed = parse_csv(CSV_HEADER + "\n" + valid_row() + "\n")
         assert parsed.stats.valid_rows == 1
         assert (parsed.carriers, parsed.delays) == (["AA"], [15])
 
@@ -66,14 +70,19 @@ class TestParse:
         # csv.reader rejects the 200,000-character field part-way through
         # the file; the fallback must not count the header and the rows
         # already read a second time.
-        row = ",".join(
-            ["2001", "5", "9", "3", "900", "855", "1100", "1045", "AA", "100",
-             "N1AA", "120", "110", "100", "15", "5", "ORD", "DFW", "800", "5",
-             "10", "0", "", "0", "0", "0", "0", "0", "0"]
-        )
+        row = valid_row()
         body = "\n".join([CSV_HEADER, row, row, row, '"' + "x" * 200_000 + '"']) + "\n"
         stats = parse_csv(body).stats
         assert (stats.total_rows, stats.valid_rows) == (4, 3)
+
+    @pytest.mark.parametrize("before", ["", "x\ry\n"], ids=["reader", "fallback"])
+    def test_form_feed_does_not_end_a_row(self, before):
+        # A UA row and a DL row joined by a form feed are one 57-field UA
+        # row, also once a bare CR in an earlier line made csv.reader raise.
+        line = valid_row("UA") + "\x0c" + valid_row("DL")
+        body = CSV_HEADER + "\n" + before + line + "\n"
+        parsed = parse_csv(body)
+        assert (parsed.carriers, parsed.stats.valid_rows) == (["UA"], 1)
 
     def test_generated_file_matches_ledger_exactly(self):
         store = ObjectStore()
@@ -106,16 +115,22 @@ def test_parser_is_total_on_arbitrary_bytes(blob):
     assert len(parsed.carriers) == parsed.stats.valid_rows
 
 
-# The alphabet holds every character csv.reader, StringIO and str.splitlines
-# disagree on: quotes, a bare CR, CRLF, form feed, NEL and NUL.
-_CSV_TEXT = st.lists(
-    st.sampled_from(["a", "b", ",", '"', "\n", "\r", "\r\n", "\x0c", "\x85", "\x00", "1"]),
-    max_size=200,
-).map("".join)
+# Quotes and a bare CR make csv.reader join lines or raise; CRLF, form
+# feed, NEL and NUL end a line for some splitters, but not for a split at
+# LF, the parser's only line break.
+_CSV_TEXT_ALPHABET = ["a", "b", ",", '"', "\n", "\r", "\r\n", "\x0c", "\x85", "\x00", "1"]
+_CSV_TEXT = st.lists(st.sampled_from(_CSV_TEXT_ALPHABET), max_size=200).map("".join)
 
 
 def _stringio_rows(text: str):
-    """The rows the parser yielded when it read through ``io.StringIO``."""
+    """The rows the parser yields, read through one ``io.StringIO``.
+
+    After a ``csv.Error`` it resumes over the same ``StringIO`` lines at
+    the first record the reader did not yield, and splits each one at
+    ``,`` once its trailing CR/LF characters are stripped.  (It resumed
+    over ``str.splitlines`` of the rest of the text until parse got one
+    line model.)
+    """
     reader = csv.reader(io.StringIO(text))
     consumed = 0
     try:
@@ -123,9 +138,8 @@ def _stringio_rows(text: str):
             consumed = reader.line_num
             yield row
     except csv.Error:
-        offset = sum(len(line) for line in islice(io.StringIO(text), consumed))
-        for line in text[offset:].splitlines():
-            yield line.split(",")
+        for line in islice(io.StringIO(text), consumed, None):
+            yield line.rstrip("\r\n").split(",")
 
 
 # Blocks of a few characters put block cuts all through the drawn text.
@@ -154,6 +168,25 @@ def test_parse_matches_the_stringio_reader(text, block):
     assert (parsed.stats.total_rows, parsed.stats.invalid_rows) == (total, invalid)
 
 
+# One quote-free line of the alphabet above.  CR and LF come only at its
+# end: csv.reader rejects a bare CR anywhere before it.
+_IN_LINE = [c for c in _CSV_TEXT_ALPHABET if c not in ('"', "\n", "\r", "\r\n")]
+_QUOTE_FREE_LINE = st.tuples(
+    st.lists(st.sampled_from(_IN_LINE), max_size=40).map("".join),
+    st.sampled_from(["", "\n", "\r", "\r\n", "\r\r\n"]),
+).map("".join)
+
+
+@given(_QUOTE_FREE_LINE)
+@settings(max_examples=500)
+def test_fallback_splits_quote_free_lines_as_the_reader_reads_them(line):
+    # The bare CR makes csv.reader raise on the first line, so every line
+    # goes through the fallback's split.  An empty line reads [] from the
+    # reader and [""] from the split; both scan as one invalid row.
+    read = [row or [""] for row in csv.reader(io.StringIO(line))]
+    assert list(data._iter_rows("x\ry\n" + line)) == [["x\ry"]] + read
+
+
 def _padded_spec() -> GenSpec:
     # Anchor-shaped rows: 30,000 x 309 bytes, ~9.3 MB.
     return GenSpec(files=1, rows_per_file=30_000, seed=606, row_pad_to_bytes=309)
@@ -172,10 +205,16 @@ def test_generating_a_file_peaks_below_twice_its_body():
     assert peak <= 2 * len(body), f"peak {peak / len(body):.2f}x the body"
 
 
-def test_parse_peaks_below_twice_the_body():
+@pytest.mark.parametrize("bare_cr", [False, True], ids=["clean", "bare-cr"])
+def test_parse_peaks_below_twice_the_body(bare_cr):
     store = ObjectStore()
     generate_dataset(_padded_spec(), store)
     body = store.get("part-0000.csv")
+    if bare_cr:
+        # The second data row starts "<year>\r,", so csv.reader raises on
+        # the file's third line and parse falls back for the rest.
+        header, first, second, rest = body.split(b"\n", 3)
+        body = b"\n".join([header, first, second.replace(b",", b"\r,", 1), rest])
     tracemalloc.start()
     try:
         parsed = parse_csv(body)
@@ -261,6 +300,15 @@ class TestGenerator:
         body = store.get("part-0000.csv").decode()
         rows = body.splitlines()[1:]
         assert rows and all(len(r) + 1 == 309 for r in rows)
+
+    @pytest.mark.parametrize("code", ["A,B", "", 'A"', "A\rB", "A\nB", " AA", "AA "])
+    def test_carrier_code_must_parse_back_as_itself(self, code):
+        with pytest.raises(ValueError, match="carrier code"):
+            GenSpec(files=1, rows_per_file=10, carriers=(CarrierProfile(code, 1.0, 0, 1),))
+
+    def test_row_padding_must_not_be_negative(self):
+        with pytest.raises(ValueError, match="row_pad_to_bytes"):
+            GenSpec(files=1, rows_per_file=10, row_pad_to_bytes=-1)
 
     def test_weights_must_sum_to_one(self):
         with pytest.raises(ValueError):
