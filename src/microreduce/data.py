@@ -4,21 +4,25 @@ The generator records an exact per-carrier ledger (delay sums and counts)
 while it writes, so end-to-end results can be checked against the ledger
 in O(1) instead of re-scanning the input.
 
-Both directions stream.  The parser feeds ``csv.reader`` one line at a
-time, from 64k-character blocks of the decoded text, so parsing a body
-holds the body, its decoded text and the parsed columns: about 1.25
-times the body on top of it, for anchor-shaped rows.  The generator
-encodes rows into a ``BytesIO`` a chunk at a time, so it peaks near 1.25
-times the body it returns; only ``row_order="shuffled"`` holds every row
-string at once, because it must shuffle them.
+Both directions stream.  The parser decodes the body one 64k block at a
+time, each cut just after a ``\n``, and reads the lines of one block
+before it decodes the next, so parsing holds the parsed columns and one
+block, not the decoded text: about 0.3 times the body on top of it, for
+anchor-shaped rows.  The generator encodes rows into a ``BytesIO`` a
+chunk at a time, so it peaks near 1.25 times the body it returns; only
+``row_order="shuffled"`` holds every row string at once, because it
+must shuffle them.
 
-Parse has one line model: a line ends at ``\n`` and nowhere else.  If
-``csv.reader`` raises (a field over ``csv.field_size_limit()``, or a bare
-``\r`` inside an unquoted field), parse resumes over the same lines at
-the first record the reader did not yield, and splits each remaining
-line at ``,`` after stripping its trailing ``\r``/``\n`` characters.  So
-a row reads the same whatever an earlier line held, and parse still
-holds about 1.25 times the body after a reader error.
+Parse has one line model: a line ends at ``\n`` and nowhere else.  A
+body with no ``"`` and no ``\r`` (every generated file) is split at
+``,`` line by line, without ``csv.reader``: on such lines the reader
+returns that split, and falls back to it on a field over its limit.
+Other bodies go through ``csv.reader``.  If it raises (a field over
+``csv.field_size_limit()``, or a bare ``\r`` inside an unquoted field),
+parse resumes over the same lines at the first record the reader did not
+yield, and splits each remaining line at ``,`` after stripping its
+trailing ``\r``/``\n`` characters.  So a row reads the same whatever an
+earlier line held.
 """
 
 from __future__ import annotations
@@ -91,28 +95,52 @@ class ParsedFile:
     stats: ParseStats
 
 
-#: Characters per ``StringIO`` in ``_lines``: its buffer, at 4 bytes per
-#: character, stays near 256 kB, while its C line iteration still does the
-#: per-line work.
+#: Characters (of a ``str`` body) or bytes (of a ``bytes`` body) per
+#: block in ``_lines``.  Parse holds one block, its decoded text and its
+#: ``StringIO`` buffer, which at 4 bytes per character is the largest
+#: (near 256 kB), while the C line iteration still does the per-line work.
 _BLOCK_CHARS = 1 << 16
 
 
-def _lines(text: str):
-    """Yield the lines ``io.StringIO(text)`` iterates, without its copy.
+def _lines(body: bytes | str):
+    """Yield the lines ``io.StringIO`` iterates over the decoded body.
 
     ``StringIO`` splits at ``\\n`` only and keeps it, so blocks cut just
-    after a ``\\n`` iterate to the same lines.  One ``StringIO`` per block
-    holds a block, not the whole text, at 4 bytes per character.
+    after a ``\\n`` iterate to the same lines.  A ``bytes`` block decodes
+    with ``errors="replace"`` to exactly its part of the whole body's
+    decoding: ``\\n`` is one byte in UTF-8 and ends any malformed sequence
+    before it, so no character straddles a cut.
     """
-    start, end = 0, len(text)
+    newline = b"\n" if isinstance(body, bytes) else "\n"
+    start, end = 0, len(body)
     while start < end:
-        stop = text.find("\n", start + _BLOCK_CHARS) + 1 or end
-        yield from io.StringIO(text[start:stop])
+        stop = body.find(newline, start + _BLOCK_CHARS) + 1 or end
+        block = body[start:stop]
+        if isinstance(block, bytes):
+            block = block.decode("utf-8", errors="replace")
+        yield from io.StringIO(block)
         start = stop
 
 
-def _iter_rows(text: str):
-    reader = csv.reader(_lines(text))
+def _split_lines(lines):
+    """Split each line at ``,`` after stripping its trailing CR/LF characters."""
+    for line in lines:
+        yield line.rstrip("\r\n").split(",")
+
+
+def _iter_rows(body: bytes | str):
+    # In UTF-8 the bytes of '"' and CR encode nothing else, so one test on
+    # the raw body finds them.  Without either, csv.reader returns each
+    # line split at ",", and falls back to that split if a field is over
+    # its limit, so the split alone reads the same rows.
+    quote, cr = (b'"', b"\r") if isinstance(body, bytes) else ('"', "\r")
+    if quote not in body and cr not in body:
+        return _split_lines(_lines(body))
+    return _read_rows(body)
+
+
+def _read_rows(body: bytes | str):
+    reader = csv.reader(_lines(body))
     consumed = 0  # source lines behind the last record yielded
     try:
         for row in reader:
@@ -122,8 +150,7 @@ def _iter_rows(text: str):
         # Fall back to a naive split so hostile bytes still parse totally,
         # resuming over the same lines at the first record the reader did
         # not yield.
-        for line in islice(_lines(text), consumed, None):
-            yield line.rstrip("\r\n").split(",")
+        yield from _split_lines(islice(_lines(body), consumed, None))
 
 
 def parse_csv(data: bytes | str) -> ParsedFile:
@@ -133,8 +160,7 @@ def parse_csv(data: bytes | str) -> ParsedFile:
     carrier missing) are counted invalid and dropped.  Only a missing
     required header column is an error.
     """
-    text = data.decode("utf-8", errors="replace") if isinstance(data, bytes) else data
-    rows = _iter_rows(text)
+    rows = _iter_rows(data)
     try:
         header = next(rows)
     except StopIteration:
@@ -189,6 +215,10 @@ class GenSpec:
     row_pad_to_bytes: int = 0  # pad rows (via TailNum) up to this width incl. newline
 
     def __post_init__(self):
+        for name in ("files", "rows_per_file", "seed", "row_pad_to_bytes"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise TypeError(f"{name} must be an int, got {value!r}")
         if self.files < 1 or self.rows_per_file < 1:
             raise ValueError("files and rows_per_file must be positive")
         if not 0.0 <= self.invalid_fraction < 1.0:

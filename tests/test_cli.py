@@ -58,7 +58,11 @@ class TestGenData:
         {"carriers": [{"code": "A,B", "weight": 1.0, "delay_mean": 0, "delay_sigma": 1}]},
         {"carriers": [{"code": "", "weight": 1.0, "delay_mean": 0, "delay_sigma": 1}]},
         {"row_pad_to_bytes": -1},
-    ], ids=["comma-code", "empty-code", "negative-pad"])
+        {"files": 1.5},
+        {"rows_per_file": 10.5},
+        {"seed": "abc"},
+    ], ids=["comma-code", "empty-code", "negative-pad", "float-files", "float-rows",
+            "string-seed"])
     def test_spec_that_cannot_round_trip_fails(self, runner, tmp_path, overrides):
         spec = gen_spec_file(tmp_path, **overrides)
         out = tmp_path / "x"

@@ -153,19 +153,65 @@ def test_lines_split_as_stringio_iterates(text, block):
         assert list(_lines(text)) == list(io.StringIO(text))
 
 
-@given(_CSV_TEXT, _BLOCK_SIZES)
+# Bytes with multi-byte characters, their truncated prefixes, lone
+# continuation and invalid bytes, and LF anywhere among them.
+_UTF8_PIECES = [b"\n", b"a", b",", "\u00e9".encode(), "\u20ac".encode(),
+                "\U0001f600".encode(), b"\xe2\x82", b"\xf0\x9f\x98", b"\xc3",
+                b"\x80", b"\xff", b"\xc0\xaf", b"\xed\xa0\x80"]
+_UTF8_BYTES = st.lists(
+    st.one_of(st.sampled_from(_UTF8_PIECES), st.binary(max_size=4)), max_size=100
+).map(b"".join)
+
+
+@given(_UTF8_BYTES, _BLOCK_SIZES)
 @settings(max_examples=500)
-def test_parse_matches_the_stringio_reader(text, block):
-    body = CSV_HEADER + "\n" + text
+def test_byte_blocks_decode_as_the_whole_body(body, block):
+    with mock.patch.object(data, "_BLOCK_CHARS", block):
+        lines = list(_lines(body))
+    assert lines == list(io.StringIO(body.decode("utf-8", errors="replace")))
+
+
+# Text with no quote and no CR: parse splits it without csv.reader.
+_QUOTE_FREE_TEXT = st.lists(
+    st.sampled_from([c for c in _CSV_TEXT_ALPHABET if '"' not in c and "\r" not in c]),
+    max_size=200,
+).map("".join)
+
+
+def _reference_parse(body: str):
     rows = _stringio_rows(body)
     schema = resolve_schema(next(rows))
     carriers, delays, total, invalid = kernels.scan_rows(
         rows, schema.carrier_idx, schema.delay_idx, schema.cancelled_idx
     )
-    with mock.patch.object(data, "_BLOCK_CHARS", block):
-        parsed = parse_csv(body)
-    assert (parsed.carriers, parsed.delays) == (carriers, delays)
-    assert (parsed.stats.total_rows, parsed.stats.invalid_rows) == (total, invalid)
+    return carriers, delays, total, invalid
+
+
+@given(st.one_of(_CSV_TEXT, _QUOTE_FREE_TEXT), _BLOCK_SIZES)
+@settings(max_examples=500)
+def test_parse_matches_the_stringio_reader(text, block):
+    body = CSV_HEADER + "\n" + text
+    expected = _reference_parse(body)
+    for given_body in (body, body.encode()):
+        with mock.patch.object(data, "_BLOCK_CHARS", block):
+            parsed = parse_csv(given_body)
+        stats = parsed.stats
+        got = (parsed.carriers, parsed.delays, stats.total_rows, stats.invalid_rows)
+        assert got == expected, type(given_body).__name__
+
+
+def test_quote_free_field_over_the_limit_reads_as_the_stringio_reader():
+    long_tail = valid_row().replace("N1AA", "N1AA" + "X" * 100)
+    body = "\n".join([CSV_HEADER, valid_row(), long_tail, valid_row("UA")]) + "\n"
+    old_limit = csv.field_size_limit(64)
+    try:
+        with pytest.raises(csv.Error):
+            list(csv.reader(io.StringIO(body)))
+        expected = list(_stringio_rows(body))
+        assert list(data._iter_rows(body)) == expected
+        assert list(data._iter_rows(body.encode())) == expected
+    finally:
+        csv.field_size_limit(old_limit)
 
 
 # One quote-free line of the alphabet above.  CR and LF come only at its
@@ -205,8 +251,9 @@ def test_generating_a_file_peaks_below_twice_its_body():
     assert peak <= 2 * len(body), f"peak {peak / len(body):.2f}x the body"
 
 
-@pytest.mark.parametrize("bare_cr", [False, True], ids=["clean", "bare-cr"])
-def test_parse_peaks_below_twice_the_body(bare_cr):
+@pytest.mark.parametrize(("bare_cr", "bound"), [(False, 2), (True, 2), (False, 0.5)],
+                         ids=["clean", "bare-cr", "clean-bytes-half"])
+def test_parse_peaks_below_twice_the_body(bare_cr, bound):
     store = ObjectStore()
     generate_dataset(_padded_spec(), store)
     body = store.get("part-0000.csv")
@@ -222,7 +269,7 @@ def test_parse_peaks_below_twice_the_body(bare_cr):
     finally:
         tracemalloc.stop()
     assert parsed.stats.total_rows == 30_000
-    assert peak <= 2 * len(body), f"parse adds {peak / len(body):.2f}x the body"
+    assert peak <= bound * len(body), f"parse adds {peak / len(body):.2f}x the body"
 
 
 #: SHA-256 over every generated file body, in order, then the ledger JSON;
@@ -305,6 +352,15 @@ class TestGenerator:
     def test_carrier_code_must_parse_back_as_itself(self, code):
         with pytest.raises(ValueError, match="carrier code"):
             GenSpec(files=1, rows_per_file=10, carriers=(CarrierProfile(code, 1.0, 0, 1),))
+
+    @pytest.mark.parametrize("field, value", [
+        ("files", 1.5), ("files", True), ("rows_per_file", 10.5), ("seed", "abc"),
+        ("seed", 2.0), ("row_pad_to_bytes", 309.5),
+    ])
+    def test_counts_and_seed_must_be_ints(self, field, value):
+        kwargs = {"files": 1, "rows_per_file": 10, field: value}
+        with pytest.raises(TypeError, match=field):
+            GenSpec(**kwargs)
 
     def test_row_padding_must_not_be_negative(self):
         with pytest.raises(ValueError, match="row_pad_to_bytes"):
