@@ -13,6 +13,16 @@ chunk at a time, so it peaks near 1.25 times the body it returns; only
 ``row_order="shuffled"`` holds every row string at once, because it
 must shuffle them.
 
+The generator draws each field as a rejection draw over the public
+``Random.getrandbits``: ``randrange(a, b)`` is ``a`` plus the first
+``getrandbits((b - a).bit_length())`` below ``b - a``, and
+``sample(_ORIGINS, 2)`` is two such draws with ``sample``'s pool swap.
+That is what CPython's ``randrange`` and ``sample`` do for
+``random.Random``, so the bytes and the generator state match them call
+for call, at about half the CPU.  Delays still come from ``rng.gauss``.
+A row padded to ``row_pad_to_bytes`` gets its ``X`` padding right after
+its TailNum, whatever the carrier code holds.
+
 Parse has one line model: a line ends at ``\n`` and nowhere else.  A
 body with no ``"`` and no ``\r`` (every generated file) is split at
 ``,`` line by line, without ``csv.reader``: on such lines the reader
@@ -227,10 +237,23 @@ class GenSpec:
             raise ValueError(f"unknown row_order {self.row_order!r}")
         if self.row_pad_to_bytes < 0:
             raise ValueError("row_pad_to_bytes must not be negative")
-        for code in (c.code for c in self.carriers):
+        for carrier in self.carriers:
+            code = carrier.code
+            if not isinstance(code, str):
+                raise TypeError(f"carrier code must be a str, got {code!r}")
             # A code is written as one unquoted field and read back stripped.
             if not code or code != code.strip() or any(ch in code for ch in ',"\r\n'):
                 raise ValueError(f"carrier code {code!r} does not parse back as itself")
+            for name in ("weight", "delay_mean", "delay_sigma"):
+                value = getattr(carrier, name)
+                if not isinstance(value, (int, float)) or isinstance(value, bool):
+                    raise TypeError(f"carrier {name} must be a real number, got {value!r}")
+                if not math.isfinite(value):
+                    raise ValueError(f"carrier {name} must be finite, got {value!r}")
+            if carrier.weight < 0:
+                # Weights summing to 1 with one negative would apportion
+                # more than rows_per_file rows.
+                raise ValueError(f"carrier weight must not be negative, got {carrier.weight!r}")
         total_weight = sum(c.weight for c in self.carriers)
         if abs(total_weight - 1.0) > 1e-9:
             raise ValueError(f"carrier weights must sum to 1, got {total_weight}")
@@ -326,43 +349,66 @@ _ORIGINS = ("ORD", "DFW", "ATL", "LAX", "PHX", "DEN", "IAH", "MSP", "DTW", "SFO"
             "STL", "EWR", "LAS", "CLT", "SEA")
 
 
-def _format_row(rng: Random, carrier: str, delay: Optional[int], cancelled: bool,
-                pad_to: int = 0) -> str:
-    year = rng.randrange(1988, 2009)
-    month = rng.randrange(1, 13)
-    day = rng.randrange(1, 29)
-    dow = rng.randrange(1, 8)
-    crs_dep = rng.randrange(500, 2300)
-    crs_arr = (crs_dep + rng.randrange(45, 400)) % 2400
-    flight_num = rng.randrange(1, 7000)
-    tail = f"N{rng.randrange(100, 999)}{carrier[0]}{carrier[-1]}"
-    elapsed = rng.randrange(45, 400)
-    origin, dest = rng.sample(_ORIGINS, 2)
-    distance = rng.randrange(100, 2700)
-    dep_delay = rng.randrange(-10, 60)
-    if cancelled:
-        arr_time = ""
-        dep_time = ""
-        arr_delay = ""
-        air = ""
-        cancelled_s, code = "1", "A"
-    else:
-        dep_time = (crs_dep + dep_delay) % 2400
-        arr_delay = "" if delay is None else str(delay)
-        arr_time = (crs_arr + (delay or 0)) % 2400
-        air = elapsed - rng.randrange(10, 40)
-        cancelled_s, code = "0", ""
-    row = (
-        f"{year},{month},{day},{dow},{dep_time},{crs_dep},{arr_time},{crs_arr},"
-        f"{carrier},{flight_num},{tail},{elapsed},{elapsed},{air},"
-        f"{arr_delay},{dep_delay},{origin},{dest},{distance},"
-        f"{rng.randrange(2, 15)},{rng.randrange(5, 30)},{cancelled_s},"
-        f"{code},0,0,0,0,0,0"
-    )
-    deficit = pad_to - 1 - len(row)  # newline takes one byte
-    if deficit > 0:
-        row = row.replace(tail, tail + "X" * deficit, 1)
-    return row
+def _span(start: int, stop: int) -> tuple[int, int, int]:
+    """``(start, width, bits)`` of one ``randrange(start, stop)`` draw site."""
+    width = stop - start
+    return start, width, width.bit_length()
+
+
+# One span per draw site, in draw order.  ``_ORIGIN`` and ``_DEST`` are
+# the two pool indices ``sample(_ORIGINS, 2)`` draws.
+_YEAR, _MONTH, _DAY, _DOW = _span(1988, 2009), _span(1, 13), _span(1, 29), _span(1, 8)
+_CRS_DEP, _BLOCK_TIME = _span(500, 2300), _span(45, 400)
+_FLIGHT, _TAIL = _span(1, 7000), _span(100, 999)
+_ORIGIN, _DEST = _span(0, len(_ORIGINS)), _span(0, len(_ORIGINS) - 1)
+_DISTANCE, _DEP_DELAY, _AIR_GAP = _span(100, 2700), _span(-10, 60), _span(10, 40)
+_TAXI_IN, _TAXI_OUT = _span(2, 15), _span(5, 30)
+
+
+def _row_formatter(rng: Random, carrier: str, pad_to: int):
+    """Return ``format_row(delay, cancelled)`` for one carrier's rows.
+
+    Each draw is ``randrange``'s own for ``random.Random``: a rejection
+    draw over ``getrandbits(width.bit_length())``.  So the rows, and the
+    state they leave ``rng`` in, are those the same ``randrange`` and
+    ``sample`` calls give.  A row shorter than ``pad_to - 1`` (the newline
+    takes one byte) is padded with ``X`` after its TailNum.
+    """
+    getrandbits = rng.getrandbits
+    tail_suffix = carrier[0] + carrier[-1]
+
+    def draw(start, width, bits):
+        r = getrandbits(bits)
+        while r >= width:
+            r = getrandbits(bits)
+        return start + r
+
+    def format_row(delay: Optional[int], cancelled: bool) -> str:
+        year, month, day, dow = draw(*_YEAR), draw(*_MONTH), draw(*_DAY), draw(*_DOW)
+        crs_dep = draw(*_CRS_DEP)
+        crs_arr = (crs_dep + draw(*_BLOCK_TIME)) % 2400
+        flight_num, tail_num, elapsed = draw(*_FLIGHT), draw(*_TAIL), draw(*_BLOCK_TIME)
+        # sample() moves the last pool entry into the slot it took first.
+        first, second = draw(*_ORIGIN), draw(*_DEST)
+        origin, dest = _ORIGINS[first], _ORIGINS[-1 if second == first else second]
+        distance, dep_delay = draw(*_DISTANCE), draw(*_DEP_DELAY)
+        if cancelled:
+            dep_time = arr_time = arr_delay = air = ""
+            cancelled_s, code = "1", "A"
+        else:
+            dep_time = (crs_dep + dep_delay) % 2400
+            arr_delay = "" if delay is None else delay
+            arr_time = (crs_arr + (delay or 0)) % 2400
+            air = elapsed - draw(*_AIR_GAP)
+            cancelled_s, code = "0", ""
+        head = (f"{year},{month},{day},{dow},{dep_time},{crs_dep},{arr_time},{crs_arr},"
+                f"{carrier},{flight_num},N{tail_num}{tail_suffix}")
+        rest = (f",{elapsed},{elapsed},{air},{arr_delay},{dep_delay},{origin},{dest},"
+                f"{distance},{draw(*_TAXI_IN)},{draw(*_TAXI_OUT)},{cancelled_s},{code},"
+                f"0,0,0,0,0,0")
+        return head + "X" * (pad_to - 1 - len(head) - len(rest)) + rest
+
+    return format_row
 
 
 def _generate_rows(spec: GenSpec, rng: Random, ledger: GenLedger):
@@ -375,6 +421,7 @@ def _generate_rows(spec: GenSpec, rng: Random, ledger: GenLedger):
     for profile, block in zip(spec.carriers, blocks):
         if block == 0:
             continue
+        format_row = _row_formatter(rng, profile.code, spec.row_pad_to_bytes)
         n_invalid = round(block * spec.invalid_fraction)
         invalid_every = block / n_invalid if n_invalid else 0.0
         next_invalid = invalid_every / 2 if n_invalid else math.inf
@@ -382,17 +429,14 @@ def _generate_rows(spec: GenSpec, rng: Random, ledger: GenLedger):
         for i in range(block):
             if placed_invalid < n_invalid and i >= next_invalid:
                 # Alternate the two invalid shapes: blank delay / cancelled.
-                cancelled = placed_invalid % 2 == 1
-                row = _format_row(rng, profile.code, None, cancelled,
-                                  spec.row_pad_to_bytes)
+                row = format_row(None, placed_invalid % 2 == 1)
                 placed_invalid += 1
                 next_invalid += invalid_every
                 ledger.invalid += 1
             else:
                 delay = round(rng.gauss(profile.delay_mean, profile.delay_sigma))
                 delay = max(-60, min(600, delay))
-                row = _format_row(rng, profile.code, delay, False,
-                                  spec.row_pad_to_bytes)
+                row = format_row(delay, False)
                 ledger.add(profile.code, delay)
             ledger.total += 1
             yield row

@@ -61,8 +61,15 @@ class TestGenData:
         {"files": 1.5},
         {"rows_per_file": 10.5},
         {"seed": "abc"},
+        {"carriers": [{"code": 5, "weight": 1.0, "delay_mean": 0, "delay_sigma": 1}]},
+        {"carriers": [{"code": "AA", "weight": 1.0, "delay_mean": "abc", "delay_sigma": 1}]},
+        {"carriers": [{"code": "AA", "weight": True, "delay_mean": 0, "delay_sigma": 1}]},
+        {"carriers": [{"code": "AA", "weight": 1.0, "delay_mean": 0, "delay_sigma": None}]},
+        {"carriers": [{"code": "AA", "weight": 1.0, "delay_mean": float("nan"),
+                       "delay_sigma": 1}]},
     ], ids=["comma-code", "empty-code", "negative-pad", "float-files", "float-rows",
-            "string-seed"])
+            "string-seed", "int-code", "string-mean", "bool-weight", "null-sigma",
+            "nan-mean"])
     def test_spec_that_cannot_round_trip_fails(self, runner, tmp_path, overrides):
         spec = gen_spec_file(tmp_path, **overrides)
         out = tmp_path / "x"

@@ -4,6 +4,8 @@ import io
 import json
 import tracemalloc
 from itertools import islice
+from random import Random
+from typing import Optional
 from unittest import mock
 
 import pytest
@@ -17,8 +19,10 @@ from microreduce.data import (
     GenSpec,
     MissingColumnError,
     _CHUNK_ROWS,
+    _ORIGINS,
     _apportion,
     _lines,
+    _row_formatter,
     generate_dataset,
     parse_csv,
     reference_kv_workload_spec,
@@ -317,6 +321,81 @@ def test_ledger_counts_a_last_row_that_fills_its_chunk():
     assert parse_csv(store.get("part-0000.csv")).stats.total_rows == rows
 
 
+def _format_row(rng: Random, carrier: str, delay: Optional[int], cancelled: bool,
+                pad_to: int = 0) -> str:
+    """The row generator before it drew on ``getrandbits``, kept verbatim as
+    the reference ``_row_formatter`` must match."""
+    year = rng.randrange(1988, 2009)
+    month = rng.randrange(1, 13)
+    day = rng.randrange(1, 29)
+    dow = rng.randrange(1, 8)
+    crs_dep = rng.randrange(500, 2300)
+    crs_arr = (crs_dep + rng.randrange(45, 400)) % 2400
+    flight_num = rng.randrange(1, 7000)
+    tail = f"N{rng.randrange(100, 999)}{carrier[0]}{carrier[-1]}"
+    elapsed = rng.randrange(45, 400)
+    origin, dest = rng.sample(_ORIGINS, 2)
+    distance = rng.randrange(100, 2700)
+    dep_delay = rng.randrange(-10, 60)
+    if cancelled:
+        arr_time = ""
+        dep_time = ""
+        arr_delay = ""
+        air = ""
+        cancelled_s, code = "1", "A"
+    else:
+        dep_time = (crs_dep + dep_delay) % 2400
+        arr_delay = "" if delay is None else str(delay)
+        arr_time = (crs_arr + (delay or 0)) % 2400
+        air = elapsed - rng.randrange(10, 40)
+        cancelled_s, code = "0", ""
+    row = (
+        f"{year},{month},{day},{dow},{dep_time},{crs_dep},{arr_time},{crs_arr},"
+        f"{carrier},{flight_num},{tail},{elapsed},{elapsed},{air},"
+        f"{arr_delay},{dep_delay},{origin},{dest},{distance},"
+        f"{rng.randrange(2, 15)},{rng.randrange(5, 30)},{cancelled_s},"
+        f"{code},0,0,0,0,0,0"
+    )
+    deficit = pad_to - 1 - len(row)  # newline takes one byte
+    if deficit > 0:
+        row = row.replace(tail, tail + "X" * deficit, 1)
+    return row
+
+
+_ROW_ARGS = st.tuples(st.none() | st.integers(-1_000, 1_000), st.booleans())
+
+
+@given(st.integers(0, 2**64), st.text(min_size=1, max_size=8) | st.sampled_from(["AA", "N105NA"]),
+       st.lists(_ROW_ARGS, min_size=1, max_size=8), st.integers(0, 400))
+@settings(max_examples=500)
+def test_row_formatter_matches_randrange_and_sample(seed, code, rows, pad_to):
+    ref_rng, rng = Random(seed), Random(seed)
+    format_row = _row_formatter(rng, code, pad_to)
+    for delay, cancelled in rows:
+        got = format_row(delay, cancelled)
+        # TailNum is the field after the flight number: six characters
+        # before any padding.
+        tail = got.split(",")[10 + code.count(",")][:6]
+        if tail in code:
+            return  # the reference pads inside the code; see the test below
+        assert got == _format_row(ref_rng, code, delay, cancelled, pad_to)
+        assert rng.getstate() == ref_rng.getstate()
+
+
+def test_padding_goes_after_the_tail_number_even_inside_the_code():
+    # Seed 1 draws the tail number N105NA, which the carrier code holds.
+    spec = GenSpec(files=1, rows_per_file=5_000, seed=1, row_pad_to_bytes=120,
+                   carriers=(CarrierProfile("N105NA", 1.0, 5, 10),))
+    store = ObjectStore()
+    ledger = generate_dataset(spec, store)
+    parsed = parse_csv(store.get("part-0000.csv"))
+    sums: dict[str, tuple[int, int]] = {}
+    for carrier, delay in zip(parsed.carriers, parsed.delays):
+        s, c = sums.get(carrier, (0, 0))
+        sums[carrier] = (s + delay, c + 1)
+    assert sums == ledger.carriers
+
+
 class TestGenerator:
     def test_deterministic_bytes(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -361,6 +440,22 @@ class TestGenerator:
         kwargs = {"files": 1, "rows_per_file": 10, field: value}
         with pytest.raises(TypeError, match=field):
             GenSpec(**kwargs)
+
+    @pytest.mark.parametrize("field, value, error", [
+        ("code", 5, TypeError), ("weight", True, TypeError), ("weight", "1", TypeError),
+        ("delay_mean", "abc", TypeError), ("delay_sigma", None, TypeError),
+        ("delay_mean", float("nan"), ValueError), ("delay_sigma", float("inf"), ValueError),
+    ])
+    def test_carrier_fields_must_be_typed(self, field, value, error):
+        fields = {"code": "AA", "weight": 1.0, "delay_mean": 0, "delay_sigma": 1}
+        fields[field] = value
+        with pytest.raises(error, match=field):
+            GenSpec(files=1, rows_per_file=10, carriers=(CarrierProfile(**fields),))
+
+    def test_carrier_weights_must_not_be_negative(self):
+        carriers = (CarrierProfile("AA", 1.5, 0, 1), CarrierProfile("UA", -0.5, 0, 1))
+        with pytest.raises(ValueError, match="must not be negative"):
+            GenSpec(files=1, rows_per_file=10, carriers=carriers)
 
     def test_row_padding_must_not_be_negative(self):
         with pytest.raises(ValueError, match="row_pad_to_bytes"):

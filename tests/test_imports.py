@@ -1,11 +1,18 @@
-"""No module of the package imports a name it never reads."""
+"""No module of the package, its tools or its tests imports a name it never reads."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "microreduce"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "microreduce"
+MODULES = sorted(PACKAGE.glob("*.py")) + sorted(ROOT.glob("tools/*.py")) + sorted(
+    ROOT.glob("tests/*.py"))
+
+
+def _module_id(path: Path) -> str:
+    return path.name if path.parent == PACKAGE else f"{path.parent.name}/{path.name}"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -32,6 +39,6 @@ def test_checker_finds_an_unread_import():
     assert unused_imports(source) == ["d", "json"]
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES, ids=_module_id)
 def test_module_reads_every_name_it_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
