@@ -26,10 +26,14 @@ ANCHOR_BATCH_SIZE = 100
 # last slope continues upward, values round half-up and never drop below 1.
 _VCPU_ANCHORS = ((0, 0.0), (1024, 2.0), (2048, 2.0), (3072, 3.0))
 
+# Function memory bounds in MB, inclusive.
+MIN_MEMORY_MB = 128
+MAX_MEMORY_MB = 10_240
+
 
 def vcpus(memory_mb: int) -> int:
-    if not 128 <= memory_mb <= 10_240:
-        raise ValueError(f"memory_mb {memory_mb} outside [128, 10240]")
+    if not MIN_MEMORY_MB <= memory_mb <= MAX_MEMORY_MB:
+        raise ValueError(f"memory_mb {memory_mb} outside [{MIN_MEMORY_MB}, {MAX_MEMORY_MB}]")
     xs = _VCPU_ANCHORS
     for (x0, y0), (x1, y1) in zip(xs, xs[1:]):
         if memory_mb <= x1:

@@ -26,7 +26,7 @@ from pathlib import Path
 from random import Random
 from typing import Any, Callable, Optional
 
-from .calibration import CalibrationTable, vcpus
+from .calibration import MAX_MEMORY_MB, MIN_MEMORY_MB, CalibrationTable, vcpus
 from .core import new_execution_id
 from .sim import Event, Process, SimError, Simulator
 from .storage import KvStore, MessageQueue, ObjectStore
@@ -44,8 +44,6 @@ LEDGER_COLUMNS = (
 )
 
 MAX_TIMEOUT_MS = 900_000
-MIN_MEMORY_MB = 128
-MAX_MEMORY_MB = 10_240
 
 
 class Interrupted(Exception):
@@ -61,7 +59,8 @@ class FunctionConfig:
 
     def __post_init__(self):
         if not MIN_MEMORY_MB <= self.memory_mb <= MAX_MEMORY_MB:
-            raise ValueError(f"memory_mb {self.memory_mb} outside [128, 10240]")
+            raise ValueError(
+                f"memory_mb {self.memory_mb} outside [{MIN_MEMORY_MB}, {MAX_MEMORY_MB}]")
         if not 0 < self.timeout_ms <= MAX_TIMEOUT_MS:
             raise ValueError(f"timeout_ms {self.timeout_ms} outside (0, {MAX_TIMEOUT_MS}]")
         if self.workers < 1:

@@ -13,8 +13,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .calibration import vcpus
-from .runtime import MAX_MEMORY_MB, MIN_MEMORY_MB
+from .calibration import MAX_MEMORY_MB, MIN_MEMORY_MB, vcpus
 from .storage import ThrottlePolicy
 
 # Write throttle for the key-value shuffle preset.  Found by sweeping
@@ -90,9 +89,7 @@ class ScenarioConfig:
         return dataclasses.replace(self, **kwargs)
 
     def to_dict(self) -> dict:
-        doc = dataclasses.asdict(self)
-        doc["throttle"] = dataclasses.asdict(self.throttle)
-        return doc
+        return dataclasses.asdict(self)
 
     @staticmethod
     def from_dict(doc: dict) -> "ScenarioConfig":

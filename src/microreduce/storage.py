@@ -1,17 +1,16 @@
 """Local emulations of object storage, key-value storage, and queuing.
 
-All three backends are in-memory, thread-safe, and take their notion of
-time from an injected ``clock`` callable (milliseconds), so they behave
-identically under the simulator's virtual clock and under test-driven
-fake clocks.  Latency is *not* modeled here; callers charge it on the
-virtual timeline.
+All three backends are in-memory and hold no locks: every call comes from
+the simulator's single thread, so each call finishes before the next one
+starts.  Time comes from an injected ``clock`` callable (milliseconds),
+so they act alike under the virtual clock and fake test clocks.  Latency
+is *not* modeled here; callers charge it on the virtual timeline.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 from random import Random
@@ -50,23 +49,21 @@ class TokenBucket:
         self._clock = clock
         self._tokens = float(policy.burst_capacity)
         self._last = clock()
-        self._lock = threading.Lock()
 
     def try_acquire(self, n: float = 1.0) -> bool:
         if not self.policy.enabled:
             return True
-        with self._lock:
-            now = self._clock()
-            elapsed_s = max(0.0, now - self._last) / 1000.0
-            self._last = now
-            self._tokens = min(
-                self.policy.burst_capacity,
-                self._tokens + elapsed_s * self.policy.sustained_ops_per_sec,
-            )
-            if self._tokens >= n:
-                self._tokens -= n
-                return True
-            return False
+        now = self._clock()
+        elapsed_s = max(0.0, now - self._last) / 1000.0
+        self._last = now
+        self._tokens = min(
+            self.policy.burst_capacity,
+            self._tokens + elapsed_s * self.policy.sustained_ops_per_sec,
+        )
+        if self._tokens >= n:
+            self._tokens -= n
+            return True
+        return False
 
 
 # -- object store ----------------------------------------------------------
@@ -77,30 +74,25 @@ class ObjectStore:
 
     def __init__(self, fault_rate: float = 0.0, fault_seed: int = 0):
         self._objects: dict[str, bytes] = {}
-        self._lock = threading.RLock()
         self.fault_rate = fault_rate
         self._fault_rng = Random(fault_seed)
 
     def put(self, key: str, body: bytes) -> None:
         if self.fault_rate > 0.0 and self._fault_rng.random() < self.fault_rate:
             raise StorageFaultError(f"injected fault on put {key!r}")
-        with self._lock:
-            self._objects[key] = bytes(body)
+        self._objects[key] = bytes(body)
 
     def get(self, key: str) -> bytes:
-        with self._lock:
-            try:
-                return self._objects[key]
-            except KeyError:
-                raise KeyError(f"no such object {key!r}") from None
+        try:
+            return self._objects[key]
+        except KeyError:
+            raise KeyError(f"no such object {key!r}") from None
 
     def delete(self, key: str) -> None:
-        with self._lock:
-            self._objects.pop(key, None)
+        self._objects.pop(key, None)
 
     def list(self, prefix: str = "") -> list[str]:
-        with self._lock:
-            return sorted(k for k in self._objects if k.startswith(prefix))
+        return sorted(k for k in self._objects if k.startswith(prefix))
 
     def size(self, key: str) -> int:
         return len(self.get(key))
@@ -111,11 +103,10 @@ class ObjectStore:
     def dump_to_dir(self, root: Path | str) -> None:
         """Mirror stored keys as files under ``root`` for inspection."""
         root = Path(root)
-        with self._lock:
-            for key, body in self._objects.items():
-                path = root / key
-                path.parent.mkdir(parents=True, exist_ok=True)
-                path.write_bytes(body)
+        for key, body in self._objects.items():
+            path = root / key
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_bytes(body)
 
 
 # -- key-value store -------------------------------------------------------
@@ -147,14 +138,13 @@ class CounterWrite:
 class KvStore:
     """Key-value tables: shuffle items (with an LSI), counters, results.
 
-    ``counter_add`` is atomic and linearizable; the write history is kept
-    for event-order audits.
+    ``counter_add`` loses no update because no two calls overlap (see the
+    module docstring); the write history is kept for event-order audits.
     """
 
     def __init__(self, clock: Clock = _zero_clock,
                  throttle: Optional[ThrottlePolicy] = None):
         self._clock = clock
-        self._lock = threading.RLock()
         self._items: dict[str, dict[str, KvItem]] = {}
         self._counters: dict[str, dict[str, int]] = {}
         self._results: dict[str, dict[str, tuple[int, int]]] = {}
@@ -166,34 +156,28 @@ class KvStore:
 
     def put_item(self, item: KvItem) -> None:
         if not self.bucket.try_acquire():
-            with self._lock:
-                self.throttled_writes += 1
+            self.throttled_writes += 1
             raise ThrottledError(
                 f"write capacity exceeded for {item.hash_key}/{item.sort_key}"
             )
-        with self._lock:
-            self._items.setdefault(item.hash_key, {})[item.sort_key] = item
+        self._items.setdefault(item.hash_key, {})[item.sort_key] = item
 
     def get_item(self, hash_key: str, sort_key: str) -> Optional[KvItem]:
-        with self._lock:
-            return self._items.get(hash_key, {}).get(sort_key)
+        return self._items.get(hash_key, {}).get(sort_key)
 
     def delete_item(self, hash_key: str, sort_key: str) -> None:
-        with self._lock:
-            self._items.get(hash_key, {}).pop(sort_key, None)
+        self._items.get(hash_key, {}).pop(sort_key, None)
 
     def query_lsi(self, hash_key: str, lsi_sort_key: str) -> list[KvItem]:
         """All items under ``hash_key`` whose index key matches, sort-key order."""
-        with self._lock:
-            bucket = self._items.get(hash_key, {})
-            return [
-                bucket[k] for k in sorted(bucket) if bucket[k].lsi_sort_key == lsi_sort_key
-            ]
+        bucket = self._items.get(hash_key, {})
+        return [
+            bucket[k] for k in sorted(bucket) if bucket[k].lsi_sort_key == lsi_sort_key
+        ]
 
     def scan(self, hash_key: str) -> list[KvItem]:
-        with self._lock:
-            bucket = self._items.get(hash_key, {})
-            return [bucket[k] for k in sorted(bucket)]
+        bucket = self._items.get(hash_key, {})
+        return [bucket[k] for k in sorted(bucket)]
 
     # counters
 
@@ -202,30 +186,26 @@ class KvStore:
             raise ValueError(f"unknown counter field {fieldname!r}")
         if delta < 1:
             raise ValueError("delta must be >= 1")
-        with self._lock:
-            row = self._counters.setdefault(execution_id, {"ingested": 0, "mapped": 0})
-            row[fieldname] += delta
-            value = row[fieldname]
-            self.counter_history.append(
-                CounterWrite(self._clock(), execution_id, fieldname, value)
-            )
-            return value
+        row = self._counters.setdefault(execution_id, {"ingested": 0, "mapped": 0})
+        row[fieldname] += delta
+        value = row[fieldname]
+        self.counter_history.append(
+            CounterWrite(self._clock(), execution_id, fieldname, value)
+        )
+        return value
 
     def counter_get(self, execution_id: str) -> tuple[int, int]:
-        with self._lock:
-            row = self._counters.get(execution_id, {"ingested": 0, "mapped": 0})
-            return row["ingested"], row["mapped"]
+        row = self._counters.get(execution_id, {"ingested": 0, "mapped": 0})
+        return row["ingested"], row["mapped"]
 
     # results table
 
     def put_result(self, execution_id: str, carrier: str, delay_sum: int, count: int) -> None:
-        with self._lock:
-            self._results.setdefault(execution_id, {})[carrier] = (delay_sum, count)
+        self._results.setdefault(execution_id, {})[carrier] = (delay_sum, count)
 
     def list_results(self, execution_id: str) -> list[tuple[str, int, int]]:
-        with self._lock:
-            rows = self._results.get(execution_id, {})
-            return [(c, s, n) for c, (s, n) in sorted(rows.items())]
+        rows = self._results.get(execution_id, {})
+        return [(c, s, n) for c, (s, n) in sorted(rows.items())]
 
 
 # -- queue -----------------------------------------------------------------
@@ -269,7 +249,6 @@ class MessageQueue:
         self._clock = clock
         self.visibility_timeout_ms = visibility_timeout_ms
         self.max_receives = max_receives
-        self._lock = threading.RLock()
         self._entries: dict[int, _QueueEntry] = {}
         self._visible: list[int] = []  # heap of ids
         self._deadlines: list[tuple[float, int, int]] = []  # (visible_at, id, receipt)
@@ -282,11 +261,10 @@ class MessageQueue:
         self.deleted_count = 0
 
     def send(self, body: str) -> None:
-        with self._lock:
-            mid = next(self._ids)
-            self._entries[mid] = _QueueEntry(body=body)
-            heapq.heappush(self._visible, mid)
-            self.sent_count += 1
+        mid = next(self._ids)
+        self._entries[mid] = _QueueEntry(body=body)
+        heapq.heappush(self._visible, mid)
+        self.sent_count += 1
         for fn in self._send_listeners:
             fn()
 
@@ -296,9 +274,8 @@ class MessageQueue:
 
     def next_deadline(self) -> Optional[float]:
         """The earliest visibility deadline of a message in flight, or None."""
-        with self._lock:
-            self._drop_deleted_deadlines()
-            return self._deadlines[0][0] if self._deadlines else None
+        self._drop_deleted_deadlines()
+        return self._deadlines[0][0] if self._deadlines else None
 
     def _drop_deleted_deadlines(self) -> None:
         # Pop deadlines of deleted messages off the top of the heap.
@@ -335,49 +312,44 @@ class MessageQueue:
             raise ValueError("max_messages must be >= 1")
         now = self._clock()
         out: list[ReceivedMessage] = []
-        with self._lock:
-            self._expire(now)
-            visible = self._visible
-            while visible and len(out) < max_messages:
-                mid = heapq.heappop(visible)
-                entry = self._entries[mid]
-                receipt = next(self._receipts)
-                entry.receipt = receipt
-                entry.receive_count += 1
-                entry.visible_at = now + self.visibility_timeout_ms
-                self._receipt_to_id[receipt] = mid
-                heapq.heappush(self._deadlines, (entry.visible_at, mid, receipt))
-                out.append(
-                    ReceivedMessage(receipt=receipt, body=entry.body,
-                                    receive_count=entry.receive_count)
-                )
+        self._expire(now)
+        visible = self._visible
+        while visible and len(out) < max_messages:
+            mid = heapq.heappop(visible)
+            entry = self._entries[mid]
+            receipt = next(self._receipts)
+            entry.receipt = receipt
+            entry.receive_count += 1
+            entry.visible_at = now + self.visibility_timeout_ms
+            self._receipt_to_id[receipt] = mid
+            heapq.heappush(self._deadlines, (entry.visible_at, mid, receipt))
+            out.append(
+                ReceivedMessage(receipt=receipt, body=entry.body,
+                                receive_count=entry.receive_count)
+            )
         return out
 
     def delete(self, receipt: int) -> bool:
         """Delete by receipt; False when the receipt is stale or reused."""
         now = self._clock()
-        with self._lock:
-            mid = self._receipt_to_id.pop(receipt, None)
-            if mid is None or now >= self._entries[mid].visible_at:
-                return False
-            del self._entries[mid]
-            self.deleted_count += 1
-            self._drop_deleted_deadlines()
-            return True
+        mid = self._receipt_to_id.pop(receipt, None)
+        if mid is None or now >= self._entries[mid].visible_at:
+            return False
+        del self._entries[mid]
+        self.deleted_count += 1
+        self._drop_deleted_deadlines()
+        return True
 
     def visible_count(self) -> int:
         now = self._clock()
-        with self._lock:
-            self._expire(now)
-            return len(self._visible)
+        self._expire(now)
+        return len(self._visible)
 
     def in_flight_count(self) -> int:
-        with self._lock:
-            return len(self._entries) - len(self._visible)
+        return len(self._entries) - len(self._visible)
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        return len(self._entries)
 
     def dlq_count(self) -> int:
         return len(self.dlq_bodies)

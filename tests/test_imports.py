@@ -1,4 +1,8 @@
-"""No module of the package, its tools or its tests imports a name it never reads."""
+"""No module of the package, its tools or its tests imports a name it never reads.
+
+The package also imports no thread, process or event-loop module: its
+stores hold no locks because every call comes from one thread.
+"""
 
 import ast
 from pathlib import Path
@@ -9,6 +13,8 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "microreduce"
 MODULES = sorted(PACKAGE.glob("*.py")) + sorted(ROOT.glob("tools/*.py")) + sorted(
     ROOT.glob("tests/*.py"))
+CONCURRENCY_MODULES = frozenset({"threading", "_thread", "multiprocessing", "concurrent",
+                                 "asyncio"})
 
 
 def _module_id(path: Path) -> str:
@@ -34,6 +40,19 @@ def unused_imports(source: str) -> list[str]:
     return sorted(imported - read - exported)
 
 
+def concurrency_imports(source: str) -> list[str]:
+    """Modules imported by ``source`` whose top-level package runs threads or tasks."""
+    found: set[str] = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(a.name for a in node.names
+                         if a.name.partition(".")[0] in CONCURRENCY_MODULES)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and (
+                node.module.partition(".")[0] in CONCURRENCY_MODULES):
+            found.add(node.module)
+    return sorted(found)
+
+
 def test_checker_finds_an_unread_import():
     source = "import json\nimport os.path\nfrom a import b as c, d\nprint(c, os)\n"
     assert unused_imports(source) == ["d", "json"]
@@ -42,3 +61,15 @@ def test_checker_finds_an_unread_import():
 @pytest.mark.parametrize("path", MODULES, ids=_module_id)
 def test_module_reads_every_name_it_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_checker_finds_a_concurrency_import():
+    source = ("import threading\nfrom concurrent.futures import ThreadPoolExecutor\n"
+              "import heapq\nfrom .threads import pool\n")
+    assert concurrency_imports(source) == ["concurrent.futures", "threading"]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.parent == PACKAGE],
+                         ids=_module_id)
+def test_package_module_imports_no_concurrency(path):
+    assert concurrency_imports(path.read_text(encoding="utf-8")) == []
