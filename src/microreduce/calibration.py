@@ -101,6 +101,20 @@ class CalibrationTable:
     map_retry_backoff_ms: float = 50.0
     workflow_transition_ms: float = 80.0
 
+    def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            # an instance kept warm forever is a valid model; nothing else is infinite
+            if not (value >= 0 and (math.isfinite(value)
+                                    or f.name == "warm_pool_idle_ms")):
+                raise ValueError(f"{f.name} must be finite and non-negative, got {value!r}")
+        if self.base_rate_units_per_ms <= 0:
+            raise ValueError("base_rate_units_per_ms must be positive")
+        if self.amdahl_parallel_fraction > 1:
+            raise ValueError("amdahl_parallel_fraction must be at most 1")
+        if self.consumer_poll_interval_ms <= 0:
+            raise ValueError("consumer_poll_interval_ms must be positive")
+
     def object_get_ms(self, nbytes: int) -> float:
         return self.object_get_base_ms + (nbytes / 1024.0) * self.object_get_per_kb_ms
 

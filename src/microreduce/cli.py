@@ -154,7 +154,10 @@ def run(selector: str, data_dir: str, out_dir: str, seed: Optional[int],
 
     cal = DEFAULT_CALIBRATION
     if calibration_path is not None:
-        cal = CalibrationTable.load(calibration_path, base=cal)
+        try:
+            cal = CalibrationTable.load(calibration_path, base=cal)
+        except ValueError as exc:
+            raise click.ClickException(f"bad calibration file: {exc}")
 
     raw = _load_raw_store(Path(data_dir))
     try:

@@ -49,9 +49,11 @@ def scan_rows(
     """Filter raw field rows down to (carrier, delay) pairs.
 
     Returns ``(carriers, delays, total_rows, invalid_rows)`` where the two
-    lists hold only the valid rows, aligned.
+    lists hold only the valid rows, aligned.  Equal carrier codes are one
+    shared ``str`` object, so slices of ``carriers`` hold no per-row strings.
     """
     need = max(carrier_idx, delay_idx, cancelled_idx)
+    codes: dict[str, str] = {}
     carriers: list[str] = []
     delays: list[int] = []
     total = 0
@@ -69,7 +71,7 @@ def scan_rows(
         if delay is None or _is_cancelled(row[cancelled_idx]):
             invalid += 1
             continue
-        carriers.append(carrier)
+        carriers.append(codes.setdefault(carrier, carrier))
         delays.append(delay)
     return carriers, delays, total, invalid
 

@@ -35,16 +35,29 @@ class IngestEvent:
     bucket: str
     object_key: str
 
-    def to_dict(self) -> dict:
-        return {
-            "execution_id": self.execution_id,
-            "bucket": self.bucket,
-            "object_key": self.object_key,
-        }
 
-    @staticmethod
-    def from_dict(doc: dict) -> "IngestEvent":
-        return IngestEvent(doc["execution_id"], doc["bucket"], doc["object_key"])
+@dataclass(frozen=True, slots=True)
+class Batch:
+    """One micro-batch queue message: aligned slices of a parsed file's
+    columns.  It crosses the queue as a value; ``str`` renders the JSON
+    wire text that the dead-letter queue keeps."""
+
+    execution_id: str
+    seq: int
+    source_file: str
+    carriers: list[str]
+    delays: list[int]
+
+    def __str__(self) -> str:
+        return json.dumps(
+            {
+                "execution_id": self.execution_id,
+                "seq": self.seq,
+                "source_file": self.source_file,
+                "records": list(zip(self.carriers, self.delays)),
+            },
+            separators=(",", ":"),
+        )
 
 
 @dataclass(slots=True)
@@ -69,24 +82,9 @@ class PipelineEnv:
     map_failure_rate: float = 0.0
 
 
-def batch_body(execution_id: str, seq: int, source_file: str,
-               records: list[tuple[str, int]]) -> str:
-    """Wire format of one micro-batch queue message."""
-    return json.dumps(
-        {
-            "execution_id": execution_id,
-            "seq": seq,
-            "source_file": source_file,
-            "records": records,
-        },
-        separators=(",", ":"),
-    )
-
-
-def ingest_handler(env: PipelineEnv, ctx: InvocationContext, payload: dict):
+def ingest_handler(env: PipelineEnv, ctx: InvocationContext, event: IngestEvent):
     """Download one raw CSV, drop invalid rows, emit micro-batches, then
     write the ingested counter once everything is on the queue."""
-    event = IngestEvent.from_dict(payload)
     cal = ctx.cal
 
     body = yield from ctx.clients.raw_object_get(event.object_key)
@@ -99,12 +97,12 @@ def ingest_handler(env: PipelineEnv, ctx: InvocationContext, payload: dict):
     batches_emitted = 0
     for start in range(0, n_valid, batch_size):
         stop = min(start + batch_size, n_valid)
-        records = [[carriers[i], delays[i]] for i in range(start, stop)]
         yield from ctx.work(
             (stop - start) * cal.ingest_row_units + cal.ingest_batch_units
         )
         yield from ctx.clients.queue_send(
-            batch_body(event.execution_id, batches_emitted, event.object_key, records)
+            Batch(event.execution_id, batches_emitted, event.object_key,
+                  carriers[start:stop], delays[start:stop])
         )
         batches_emitted += 1
 
@@ -120,17 +118,15 @@ def ingest_handler(env: PipelineEnv, ctx: InvocationContext, payload: dict):
     }
 
 
-def map_handler(env: PipelineEnv, ctx: InvocationContext, payload: dict):
+def map_handler(env: PipelineEnv, ctx: InvocationContext, batch: Batch):
     """Group one micro-batch by carrier and write one shuffle entry per
     distinct carrier, counting the rows only after every write landed."""
     cal = ctx.cal
-    execution_id = payload["execution_id"]
-    records = payload["records"]
+    execution_id = batch.execution_id
+    rows = len(batch.carriers)
 
-    yield from ctx.work(cal.map_batch_units + len(records) * cal.map_row_units)
-    groups = kernels.group_rows(
-        [r[0] for r in records], [r[1] for r in records]
-    )
+    yield from ctx.work(cal.map_batch_units + rows * cal.map_row_units)
+    groups = kernels.group_rows(batch.carriers, batch.delays)
 
     written: list[str] = []
     try:
@@ -146,7 +142,7 @@ def map_handler(env: PipelineEnv, ctx: InvocationContext, payload: dict):
             yield from _write_with_retry(ctx, env, entry)
             written.append(carrier)
         if env.map_failure_rate > 0.0 and ctx.rng.random() < env.map_failure_rate:
-            raise InjectedMapFailure(f"injected failure for batch {payload['seq']}")
+            raise InjectedMapFailure(f"injected failure for batch {batch.seq}")
     except Exception:
         # Tombstone this attempt's writes so a redelivery cannot double
         # count; the mapped counter was never incremented for it.
@@ -155,7 +151,7 @@ def map_handler(env: PipelineEnv, ctx: InvocationContext, payload: dict):
         )
         raise
 
-    yield from ctx.clients.counter_add(execution_id, "mapped", len(records))
+    yield from ctx.clients.counter_add(execution_id, "mapped", rows)
     return {"entries_written": len(written)}
 
 

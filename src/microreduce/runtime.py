@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
@@ -225,7 +224,7 @@ class StorageClients:
         yield self.cal.kv_query_ms(len(rows))
         return rows
 
-    def queue_send(self, body: str):
+    def queue_send(self, body: Any):
         yield self.cal.queue_send_ms
         self.queue.send(body)
 
@@ -507,10 +506,8 @@ class QueueSource:
             if not messages:
                 messages = yield _IdleConsumer(self, self.runtime.sim.now()).delivered
             for msg in messages:
-                payload = json.loads(msg.body)
-                execution_id = payload.get("execution_id", "") if isinstance(payload, dict) else ""
-                record = yield from self.runtime.invocation(self.fn, self.handler, payload,
-                                                            execution_id)
+                record = yield from self.runtime.invocation(
+                    self.fn, self.handler, msg.body, getattr(msg.body, "execution_id", ""))
                 if record.outcome == "ok":
                     yield from clients.queue_delete(msg.receipt)
                 # otherwise leave it; visibility expiry redelivers or retires

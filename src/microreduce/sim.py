@@ -32,10 +32,9 @@ class SimError(RuntimeError):
 class Event:
     """One-shot event; waiters resume (via the scheduler) when triggered."""
 
-    __slots__ = ("_sim", "_triggered", "_value", "_callbacks")
+    __slots__ = ("_triggered", "_value", "_callbacks")
 
-    def __init__(self, sim: "Simulator"):
-        self._sim = sim
+    def __init__(self):
         self._triggered = False
         self._value: Any = None
         self._callbacks: list[Callable[[Any], None]] = []
@@ -69,10 +68,10 @@ class Process:
 
     __slots__ = ("gen", "name", "finished")
 
-    def __init__(self, sim: "Simulator", gen: ProcessGen, name: str = ""):
+    def __init__(self, gen: ProcessGen, name: str = ""):
         self.gen = gen
         self.name = name
-        self.finished = Event(sim)
+        self.finished = Event()
 
     @property
     def result(self) -> Any:
@@ -119,17 +118,17 @@ class Simulator:
         handle[-1] = None
 
     def spawn(self, gen: ProcessGen, name: str = "") -> Process:
-        proc = Process(self, gen, name)
+        proc = Process(gen, name)
         self._schedule_resume(proc, 0.0, None)
         return proc
 
     def event(self) -> Event:
-        return Event(self)
+        return Event()
 
     def all_of(self, items: Iterable[Event | Process]) -> Event:
         """Event that triggers once every given event/process has finished."""
         events = [it.finished if isinstance(it, Process) else it for it in items]
-        done = Event(self)
+        done = Event()
         state = {"n": len(events)}
         if state["n"] == 0:
             done.trigger(None)

@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from pathlib import Path
 from random import Random
-from typing import Callable, Optional
+from typing import Any, Callable, Optional
 
 Clock = Callable[[], float]
 
@@ -213,7 +213,7 @@ class KvStore:
 
 @dataclass(slots=True)
 class _QueueEntry:
-    body: str
+    body: Any
     receive_count: int = 0
     visible_at: float = 0.0
     receipt: Optional[int] = None
@@ -222,16 +222,17 @@ class _QueueEntry:
 @dataclass(frozen=True, slots=True)
 class ReceivedMessage:
     receipt: int
-    body: str
+    body: Any
     receive_count: int
 
 
 class MessageQueue:
     """At-least-once queue with visibility timeout and dead-letter routing.
 
-    ``receive`` hands out visible messages lowest id first, so a redelivered
-    message goes out before any message sent after it.  A message delivered
-    ``max_receives`` times without being deleted moves to the DLQ when its
+    Bodies are any value, handed to consumers as sent.  ``receive`` hands
+    out visible messages lowest id first, so a redelivered message goes out
+    before any message sent after it.  A message delivered ``max_receives``
+    times without being deleted moves to the DLQ, as ``str(body)``, when its
     last visibility timeout expires; the expiries one call finds are applied
     in id order.  Receipts are single-use tokens, so concurrent consumers
     cannot double-delete.  Visible ids sit in a heap and visibility
@@ -260,7 +261,7 @@ class MessageQueue:
         self.sent_count = 0
         self.deleted_count = 0
 
-    def send(self, body: str) -> None:
+    def send(self, body: Any) -> None:
         mid = next(self._ids)
         self._entries[mid] = _QueueEntry(body=body)
         heapq.heappush(self._visible, mid)
@@ -303,7 +304,7 @@ class MessageQueue:
             entry.receipt = None
             if entry.receive_count >= self.max_receives:
                 del self._entries[mid]
-                self.dlq_bodies.append(entry.body)
+                self.dlq_bodies.append(str(entry.body))
             else:
                 heapq.heappush(self._visible, mid)
 

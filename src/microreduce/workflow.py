@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import partial
 from random import Random
 from typing import Optional
@@ -254,14 +254,13 @@ def _orchestrate(job: JobResult):
     try:
         # ParallelIngest
         entered = job.enter("ParallelIngest")
-        events = [IngestEvent(job.execution_id, "raw", key).to_dict()
-                  for key in job.file_keys]
-        job.check_payload(events)
+        events = [IngestEvent(job.execution_id, "raw", key) for key in job.file_keys]
+        job.check_payload([asdict(e) for e in events])
         tasks = [
             job.sim.spawn(
                 _task_with_retries(job, "ParallelIngest", job.fn_ingest,
                                    ingest_handler, event),
-                name=f"ingest-{event['object_key']}",
+                name=f"ingest-{event.object_key}",
             )
             for event in events
         ]

@@ -22,7 +22,7 @@ from microreduce.data import (
     generate_dataset,
     reference_kv_workload_spec,
 )
-from microreduce.pipeline import IngestEvent, PipelineEnv, ingest_handler, map_handler
+from microreduce.pipeline import Batch, IngestEvent, PipelineEnv, ingest_handler, map_handler
 from microreduce.ports import make_adapter
 from microreduce.report import kpi_table
 from microreduce.runtime import (
@@ -73,7 +73,7 @@ def run_anchor_ingest(raw: ObjectStore, memory_mb: int, workers: int) -> Invocat
     runtime = FunctionRuntime(sim, clients, seed=0)
     env = PipelineEnv(port=make_adapter("object", clients))
     fn = FunctionConfig("ingest", memory_mb, workers=workers)
-    event = IngestEvent(EID, "raw", "part-0000.csv").to_dict()
+    event = IngestEvent(EID, "raw", "part-0000.csv")
     proc = runtime.invoke(fn, partial(ingest_handler, env), event, EID)
     sim.run(until=proc.finished)
     record = proc.result
@@ -201,10 +201,10 @@ def test_c04_microbatch_shuffle_arithmetic():
                              queue=MessageQueue(clock=sim.now))
     runtime = FunctionRuntime(sim, clients, seed=0)
     env = PipelineEnv(port=make_adapter("object", clients))
-    records = ([["A", 1]] * 30 + [["B", 2]] * 30 + [["C", 3]] * 30 + [["D", 4]] * 10)
-    payload = {"execution_id": EID, "seq": 0, "source_file": "f", "records": records}
+    batch = Batch(EID, 0, "f", ["A"] * 30 + ["B"] * 30 + ["C"] * 30 + ["D"] * 10,
+                  [1] * 30 + [2] * 30 + [3] * 30 + [4] * 10)
     proc = runtime.invoke(FunctionConfig("map", 128), partial(map_handler, env),
-                          payload, EID)
+                          batch, EID)
     sim.run(until=proc.finished)
     assert proc.result.result == {"entries_written": 4}
     assert len(clients.objects.list(f"{EID}/")) == 4

@@ -151,6 +151,29 @@ class TestRun:
                                       "--out", str(tmp_path / "runs")])
         assert result.exit_code != 0
 
+    @pytest.mark.parametrize("text, message", [
+        ("queue_send_ms=-1", "queue_send_ms must be finite and non-negative"),
+        ("object_get_base_ms=nan", "object_get_base_ms must be finite and non-negative"),
+        ("base_rate_units_per_ms=0", "base_rate_units_per_ms must be positive"),
+        ("amdahl_parallel_fraction=2", "amdahl_parallel_fraction must be at most 1"),
+        ("bogus=1", "line 1: unknown calibration key 'bogus'"),
+        ("consumer_poll_interval_ms=0\nqueue_receive_ms=0",
+         "consumer_poll_interval_ms must be positive"),
+    ], ids=["negative-latency", "nan-latency", "zero-rate", "fraction-above-one",
+            "unknown-key", "zero-poll"])
+    def test_bad_calibration_fails_before_the_run(self, runner, tmp_path, text, message):
+        data = generate_cli_data(runner, tmp_path, rows_per_file=300)
+        cal_path = tmp_path / "cal.txt"
+        cal_path.write_text(text + "\n", encoding="utf-8")
+        out = tmp_path / "runs"
+        result = runner.invoke(main, ["run", "--scenario", "1", "--data", str(data),
+                                      "--out", str(out), "--files", "1",
+                                      "--calibration", str(cal_path)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # no traceback
+        assert f"bad calibration file: {message}" in result.output
+        assert not out.exists()
+
     def test_stalled_exit_code_two_and_override_resumes(self, runner, tmp_path):
         data = generate_cli_data(runner, tmp_path)
         scenario_path = tmp_path / "stall.json"

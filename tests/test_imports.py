@@ -1,7 +1,9 @@
 """No module of the package, its tools or its tests imports a name it never reads.
 
 The package also imports no thread, process or event-loop module: its
-stores hold no locks because every call comes from one thread.
+stores hold no locks because every call comes from one thread.  Its engine
+(scheduler, stores, runtime, kernels) imports no serialization module: values
+cross its layers as they are.
 """
 
 import ast
@@ -15,6 +17,10 @@ MODULES = sorted(PACKAGE.glob("*.py")) + sorted(ROOT.glob("tools/*.py")) + sorte
     ROOT.glob("tests/*.py"))
 CONCURRENCY_MODULES = frozenset({"threading", "_thread", "multiprocessing", "concurrent",
                                  "asyncio"})
+# The engine passes values between its layers; wire formats belong to the
+# modules that render artifacts and dead letters.
+ENGINE_MODULES = ("sim.py", "storage.py", "runtime.py", "kernels.py")
+SERIALIZATION_MODULES = frozenset({"json", "pickle", "marshal"})
 
 
 def _module_id(path: Path) -> str:
@@ -40,15 +46,15 @@ def unused_imports(source: str) -> list[str]:
     return sorted(imported - read - exported)
 
 
-def concurrency_imports(source: str) -> list[str]:
-    """Modules imported by ``source`` whose top-level package runs threads or tasks."""
+def banned_imports(source: str, banned: frozenset[str]) -> list[str]:
+    """Modules imported by ``source`` whose top-level package is in ``banned``."""
     found: set[str] = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
             found.update(a.name for a in node.names
-                         if a.name.partition(".")[0] in CONCURRENCY_MODULES)
+                         if a.name.partition(".")[0] in banned)
         elif isinstance(node, ast.ImportFrom) and node.level == 0 and (
-                node.module.partition(".")[0] in CONCURRENCY_MODULES):
+                node.module.partition(".")[0] in banned):
             found.add(node.module)
     return sorted(found)
 
@@ -66,10 +72,21 @@ def test_module_reads_every_name_it_imports(path):
 def test_checker_finds_a_concurrency_import():
     source = ("import threading\nfrom concurrent.futures import ThreadPoolExecutor\n"
               "import heapq\nfrom .threads import pool\n")
-    assert concurrency_imports(source) == ["concurrent.futures", "threading"]
+    assert banned_imports(source, CONCURRENCY_MODULES) == ["concurrent.futures", "threading"]
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.parent == PACKAGE],
                          ids=_module_id)
 def test_package_module_imports_no_concurrency(path):
-    assert concurrency_imports(path.read_text(encoding="utf-8")) == []
+    assert banned_imports(path.read_text(encoding="utf-8"), CONCURRENCY_MODULES) == []
+
+
+def test_checker_finds_a_serialization_import():
+    source = "import json\nfrom pickle import dumps\nimport heapq\nfrom .marshal import x\n"
+    assert banned_imports(source, SERIALIZATION_MODULES) == ["json", "pickle"]
+
+
+@pytest.mark.parametrize("name", ENGINE_MODULES)
+def test_engine_module_imports_no_serialization(name):
+    source = (PACKAGE / name).read_text(encoding="utf-8")
+    assert banned_imports(source, SERIALIZATION_MODULES) == []

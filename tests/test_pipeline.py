@@ -6,11 +6,11 @@ from microreduce.calibration import DEFAULT_CALIBRATION
 from microreduce.core import DegenerateAggregateError
 from microreduce.data import CSV_HEADER, GenSpec, generate_dataset
 from microreduce.pipeline import (
+    Batch,
     GateState,
     IngestEvent,
     MapWriteError,
     PipelineEnv,
-    batch_body,
     ingest_handler,
     map_handler,
     reduce_aggregate_handler,
@@ -70,8 +70,7 @@ class TestIngest:
         h.raw.put("in.csv", body)
         h.env.batch_size = batch_size
         fn = FunctionConfig("ingest", 2048, workers=2)
-        event = IngestEvent(EID, "raw", "in.csv").to_dict()
-        return invoke(h, fn, ingest_handler, event)
+        return invoke(h, fn, ingest_handler, IngestEvent(EID, "raw", "in.csv"))
 
     def test_batch_arithmetic_with_short_tail(self):
         h = make_harness()
@@ -82,9 +81,15 @@ class TestIngest:
             "total_rows": 1234, "invalid_rows": 0,
         }
         assert h.queue.sent_count == 13
-        bodies = [h.queue.receive()[0] for _ in range(13)]
-        sizes = [len(json.loads(m.body)["records"]) for m in bodies]
-        assert sizes == [100] * 12 + [34]
+        batches = [h.queue.receive()[0].body for _ in range(13)]
+        assert [b.seq for b in batches] == list(range(13))
+        assert [len(b.carriers) for b in batches] == [100] * 12 + [34]
+        assert [len(b.delays) for b in batches] == [100] * 12 + [34]
+        assert batches[-1].delays[-1] == 1233 % 30
+        # str() renders the wire text the dead-letter queue keeps
+        assert str(Batch(EID, 3, "in.csv", ["AA", "UA"], [5, -2])) == (
+            '{"execution_id":"7b8c1d84-e894-4969-83f3-72df58013200","seq":3,'
+            '"source_file":"in.csv","records":[["AA",5],["UA",-2]]}')
         assert h.kv.counter_get(EID) == (1234, 0)
 
     def test_empty_file_touches_nothing(self):
@@ -106,7 +111,7 @@ class TestIngest:
         h = make_harness()
         h.raw.put("in.csv", csv_with_rows(500))
         fn = FunctionConfig("ingest", 2048, workers=2)
-        event = IngestEvent(EID, "raw", "in.csv").to_dict()
+        event = IngestEvent(EID, "raw", "in.csv")
         violations = []
 
         def watcher():
@@ -134,10 +139,8 @@ class TestIngest:
 
 class TestMap:
     def payload(self, counts: dict[str, int], seq=0):
-        records = []
-        for carrier, n in counts.items():
-            records.extend([carrier, 7] for _ in range(n))
-        return json.loads(batch_body(EID, seq, "in.csv", records))
+        carriers = [carrier for carrier, n in counts.items() for _ in range(n)]
+        return Batch(EID, seq, "in.csv", carriers, [7] * len(carriers))
 
     def test_four_carriers_four_entries(self):
         h = make_harness()

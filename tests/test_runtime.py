@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -561,19 +562,23 @@ def test_idle_consumer_receives_at_its_poll_ticks_without_polling():
     rt = FunctionRuntime(sim, clients)
     failed = []
 
+    received = []
+
     def handler(ctx, payload):
+        received.append(payload)
         yield work
-        if payload["n"] == "A" and not failed:
+        if payload.n == "A" and not failed:
             failed.append(True)
             raise RuntimeError("first attempt fails")
         return None
 
     sends = {"A": 1_234.5, "B": 100_000.75}
+    bodies = {n: SimpleNamespace(execution_id="e", n=n) for n in sends}
 
     def sender():
         for n, at in sends.items():
             yield at - sim.now()
-            queue.send('{"execution_id": "e", "n": "%s"}' % n)
+            queue.send(bodies[n])
 
     sim.spawn(sender())
     source = rt.attach_queue_source(FunctionConfig("map", 1024), queue, handler)
@@ -591,6 +596,10 @@ def test_idle_consumer_receives_at_its_poll_ticks_without_polling():
 
     assert [(r.outcome, r.start_ms) for r in rt.ledger] == [
         ("error", a1), ("ok", a2), ("ok", b1)]
+    # the handler gets the very object sent, and the ledger its execution id
+    assert len(received) == 3
+    assert all(got is bodies[n] for got, n in zip(received, "AAB"))
+    assert {r.execution_id for r in rt.ledger} == {"e"}
     assert source.pool_size == 1
     assert len(queue) == 0 and queue.dlq_count() == 0
     # a polling consumer would receive ~1,490 times in the idle stretch

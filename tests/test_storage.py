@@ -201,18 +201,21 @@ class TestQueue:
         assert q.delete(second.receipt)
 
     def test_dlq_after_max_receives(self):
-        clock = FakeClock()
-        q = MessageQueue(clock=clock, visibility_timeout_ms=1_000, max_receives=3)
-        q.send("poison")
-        deliveries = 0
-        for _ in range(10):
-            got = q.receive()
-            deliveries += len(got)  # consumer always fails: never deletes
-            clock.advance(1_001)
-        assert deliveries == 3
-        assert q.dlq_count() == 1
-        assert q.dlq_bodies == ["poison"]
-        assert len(q) == 0
+        # a body that is not text retires as its str()
+        for body in ("poison", ("poison", 7)):
+            clock = FakeClock()
+            q = MessageQueue(clock=clock, visibility_timeout_ms=1_000, max_receives=3)
+            q.send(body)
+            deliveries = 0
+            for _ in range(10):
+                got = q.receive()
+                assert all(m.body is body for m in got)
+                deliveries += len(got)  # consumer always fails: never deletes
+                clock.advance(1_001)
+            assert deliveries == 3
+            assert q.dlq_count() == 1
+            assert q.dlq_bodies == [str(body)]
+            assert len(q) == 0
 
     def test_receipts_are_single_use(self):
         q = MessageQueue(clock=FakeClock())
