@@ -30,6 +30,7 @@ from .report import (
 )
 from .runtime import load_ledger_csv, render_ledger_csv
 from .scenarios import ScenarioConfig, preset
+from .sim import ClockStalled
 from .storage import ObjectStore
 from .workflow import (
     ExecutionTrace,
@@ -164,6 +165,8 @@ def run(selector: str, data_dir: str, out_dir: str, seed: Optional[int],
         result = run_job(scenario, raw, cal=cal)
     except ValueError as exc:
         raise click.ClickException(str(exc))
+    except ClockStalled as exc:
+        raise click.ClickException(f"run stalled: {exc}")
 
     run_dir = Path(out_dir) / result.execution_id
     run_dir.mkdir(parents=True, exist_ok=True)

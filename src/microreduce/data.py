@@ -4,14 +4,13 @@ The generator records an exact per-carrier ledger (delay sums and counts)
 while it writes, so end-to-end results can be checked against the ledger
 in O(1) instead of re-scanning the input.
 
-Both directions stream.  The parser decodes the body one 64k block at a
-time, each cut just after a ``\n``, and reads the lines of one block
-before it decodes the next, so parsing holds the parsed columns and one
-block, not the decoded text: about 0.3 times the body on top of it, for
-anchor-shaped rows.  The generator encodes rows into a ``BytesIO`` a
-chunk at a time, so it peaks near 1.25 times the body it returns; only
-``row_order="shuffled"`` holds every row string at once, because it
-must shuffle them.
+Both directions stream.  The parser reads the body one 64k block at a
+time, each cut just after a ``\n``, and is done with one block before it
+cuts the next, so parsing holds the parsed columns and one block's
+fields, not the decoded text.  The generator encodes rows into a
+``BytesIO`` a chunk at a time, so it peaks near 1.25 times the body it
+returns; only ``row_order="shuffled"`` holds every row string at once,
+because it must shuffle them.
 
 The generator draws each field as a rejection draw over the public
 ``Random.getrandbits``: ``randrange(a, b)`` is ``a`` plus the first
@@ -25,9 +24,13 @@ its TailNum, whatever the carrier code holds.
 
 Parse has one line model: a line ends at ``\n`` and nowhere else.  A
 body with no ``"`` and no ``\r`` (every generated file) is split at
-``,`` line by line, without ``csv.reader``: on such lines the reader
-returns that split, and falls back to it on a field over its limit.
-Other bodies go through ``csv.reader``.  If it raises (a field over
+``,`` without ``csv.reader``: on such lines the reader returns that
+split, and falls back to it on a field over its limit.  Each block is
+split once, as raw bytes if it is ASCII, and if every line of it has
+the header's width, its carrier, delay and cancelled fields are strided
+slices of that one split, which ``kernels.scan_rows`` settles by columns.
+Any other block yields its lines split one by one.  Other bodies go
+through ``csv.reader``.  If it raises (a field over
 ``csv.field_size_limit()``, or a bare ``\r`` inside an unquoted field),
 parse resumes over the same lines at the first record the reader did not
 yield, and splits each remaining line at ``,`` after stripping its
@@ -42,7 +45,8 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, islice, repeat
+from operator import contains
 from pathlib import Path
 from random import Random
 from typing import Optional, Sequence
@@ -106,30 +110,41 @@ class ParsedFile:
 
 
 #: Characters (of a ``str`` body) or bytes (of a ``bytes`` body) per
-#: block in ``_lines``.  Parse holds one block, its decoded text and its
+#: block in ``_blocks``.  Parse holds one block and its fields at a time;
+#: a block that falls back to rows also holds its decoded text and its
 #: ``StringIO`` buffer, which at 4 bytes per character is the largest
-#: (near 256 kB), while the C line iteration still does the per-line work.
+#: (near 256 kB).
 _BLOCK_CHARS = 1 << 16
+
+
+def _blocks(body: bytes | str):
+    """Yield the body in blocks of about ``_BLOCK_CHARS``, each cut just after a ``\\n``."""
+    newline = b"\n" if isinstance(body, bytes) else "\n"
+    start, end = 0, len(body)
+    while start < end:
+        stop = body.find(newline, start + _BLOCK_CHARS) + 1 or end
+        yield body[start:stop]
+        start = stop
+
+
+def _decode(block: bytes | str) -> str:
+    """Decode a ``bytes`` block to exactly its part of the whole body's decoding.
+
+    With ``errors="replace"`` that holds for any cut just after a ``\\n``:
+    ``\\n`` is one byte in UTF-8 and ends any malformed sequence before
+    it, so no character straddles the cut.
+    """
+    return block.decode("utf-8", errors="replace") if isinstance(block, bytes) else block
 
 
 def _lines(body: bytes | str):
     """Yield the lines ``io.StringIO`` iterates over the decoded body.
 
     ``StringIO`` splits at ``\\n`` only and keeps it, so blocks cut just
-    after a ``\\n`` iterate to the same lines.  A ``bytes`` block decodes
-    with ``errors="replace"`` to exactly its part of the whole body's
-    decoding: ``\\n`` is one byte in UTF-8 and ends any malformed sequence
-    before it, so no character straddles a cut.
+    after a ``\\n`` iterate to the same lines.
     """
-    newline = b"\n" if isinstance(body, bytes) else "\n"
-    start, end = 0, len(body)
-    while start < end:
-        stop = body.find(newline, start + _BLOCK_CHARS) + 1 or end
-        block = body[start:stop]
-        if isinstance(block, bytes):
-            block = block.decode("utf-8", errors="replace")
-        yield from io.StringIO(block)
-        start = stop
+    for block in _blocks(body):
+        yield from io.StringIO(_decode(block))
 
 
 def _split_lines(lines):
@@ -145,8 +160,64 @@ def _iter_rows(body: bytes | str):
     # its limit, so the split alone reads the same rows.
     quote, cr = (b'"', b"\r") if isinstance(body, bytes) else ('"', "\r")
     if quote not in body and cr not in body:
-        return _split_lines(_lines(body))
+        return _split_blocks(body)
     return _read_rows(body)
+
+
+def _split_blocks(body: bytes | str):
+    """Yield the header row, then each block as its schema's columns or as rows.
+
+    A block whose every line has the header's width is one
+    ``kernels.Columns``; any other block yields its lines split at ``,``.
+    An ASCII ``bytes`` block is split as bytes, without decoding; any
+    other ``bytes`` block is decoded first.
+    """
+    blocks = _blocks(body)
+    first = next(blocks, None)
+    if first is None:
+        return
+    head, _, rest = first.partition(b"\n" if isinstance(first, bytes) else "\n")
+    header = _decode(head).split(",")
+    yield header
+    # Resumed only once the caller has resolved the same header.
+    schema = resolve_schema(header)
+    width = len(header)
+    picks = (schema.carrier_idx, schema.delay_idx, schema.cancelled_idx)
+    if not all(0 < i < width - 1 for i in picks):
+        picks = None  # a first or last field shares its split element with a LF
+    for block in chain((rest,) if rest else (), blocks):
+        if isinstance(block, bytes) and not block.isascii():
+            block = _decode(block)
+        columns = _columns(block, width, picks) if picks else None
+        if columns is None:
+            yield from _split_lines(io.StringIO(_decode(block)))
+        else:
+            yield columns
+
+
+def _columns(block: bytes | str, width: int, picks: tuple[int, int, int]):
+    """The ``picks`` columns of ``block`` if each of its lines has ``width`` fields.
+
+    Split at ``,``, a block of ``n`` such lines has ``n * (width - 1) + 1``
+    fields, and its k-th ``\\n`` sits in field ``k * (width - 1)``, which
+    joins one line's last field to the next line's first.  Between those,
+    field ``j`` of each line is a strided slice.  Returns None for any
+    other block.
+    """
+    comma, newline, empty = (b",", b"\n", b"") if isinstance(block, bytes) else (",", "\n", "")
+    fields = block.split(comma)
+    step = width - 1
+    # Counts the LFs: ``replace`` finds them with memchr, several times
+    # faster than ``count``, which tests every byte.
+    breaks = len(block) - len(block.replace(newline, empty))
+    lines = breaks + (not block.endswith(newline))
+    # The breaks fields at multiples of step each hold a LF, so each holds
+    # exactly one and no other field holds any.  ``newline[0]`` is 10 for
+    # bytes, which ``in`` finds as a byte value, faster than a needle.
+    if len(fields) != lines * step + 1 or not all(
+            map(contains, fields[step:breaks * step + 1:step], repeat(newline[0]))):
+        return None
+    return kernels.Columns(*(fields[i::step] for i in picks))
 
 
 def _read_rows(body: bytes | str):

@@ -3,12 +3,24 @@
 Validity rule: a row is valid when it is long enough, the carrier field is
 non-empty, the delay field parses to an (integral) number, and the
 cancelled field does not parse to 1.
+
+``scan_rows`` takes rows one by one, or a block of rows as one
+``Columns`` item: the block's carrier, delay and cancelled fields, one
+list each.  It settles such a block in C calls over whole columns when
+each row's cancelled field is exactly ``0``, its carrier is non-empty
+once stripped and ``int`` converts its delay; rows that plainly fail
+(cancelled not ``0``, delay or carrier empty) drop out by a mask, and
+any other block settles row by row by the same rule.  Carrier fields map
+through a table with one shared ``str`` per code.  ``group_rows`` sums a
+batch of a single carrier in one ``sum``.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from itertools import compress
+from operator import not_
+from typing import Iterable, NamedTuple, Sequence
 
 BACKEND = "python"  # recorded in each benchmark run report
 
@@ -40,8 +52,30 @@ def _is_cancelled(text: str) -> bool:
         return False
 
 
+class Columns(NamedTuple):
+    """The carrier, delay and cancelled fields of a run of rows, one list each.
+
+    Fields are ``str``, or ASCII ``bytes`` that decode to the same text.
+    ``scan_rows`` settles a ``Columns`` item as it would those rows.
+    """
+
+    carriers: list
+    delays: list
+    cancelled: list
+
+
+def _row_delay(code: str, delay_text: str, cancelled_text: str) -> int | None:
+    """The delay a row with this stripped carrier code keeps, or None if it is invalid."""
+    if not code:
+        return None
+    delay = _parse_delay(delay_text)
+    if delay is None or _is_cancelled(cancelled_text):
+        return None
+    return delay
+
+
 def scan_rows(
-    rows: Iterable[Sequence[str]],
+    rows: Iterable[Sequence[str] | Columns],
     carrier_idx: int,
     delay_idx: int,
     cancelled_idx: int,
@@ -51,24 +85,27 @@ def scan_rows(
     Returns ``(carriers, delays, total_rows, invalid_rows)`` where the two
     lists hold only the valid rows, aligned.  Equal carrier codes are one
     shared ``str`` object, so slices of ``carriers`` hold no per-row strings.
+    An item of ``rows`` is one row's fields or a ``Columns`` of several
+    rows' three fields, which count and settle as those rows would.
     """
     need = max(carrier_idx, delay_idx, cancelled_idx)
-    codes: dict[str, str] = {}
+    codes: dict = {}  # carrier field -> the shared str of its stripped code
     carriers: list[str] = []
     delays: list[int] = []
     total = 0
     invalid = 0
     for row in rows:
+        if type(row) is Columns:
+            total += len(row.delays)
+            invalid += _settle_columns(row, codes, carriers, delays)
+            continue
         total += 1
         if len(row) <= need:
             invalid += 1
             continue
         carrier = row[carrier_idx].strip()
-        if not carrier:
-            invalid += 1
-            continue
-        delay = _parse_delay(row[delay_idx])
-        if delay is None or _is_cancelled(row[cancelled_idx]):
+        delay = _row_delay(carrier, row[delay_idx], row[cancelled_idx])
+        if delay is None:
             invalid += 1
             continue
         carriers.append(codes.setdefault(carrier, carrier))
@@ -76,10 +113,62 @@ def scan_rows(
     return carriers, delays, total, invalid
 
 
+def _settle_columns(columns: Columns, codes: dict, carriers: list, delays: list) -> int:
+    """Append the valid rows of ``columns`` and return how many are invalid.
+
+    Rows whose cancelled field is not exactly ``0``, or whose delay or
+    carrier is empty, drop out in C; if the validity rule keeps any of
+    them, or ``int`` rejects a delay of the rest, the columns settle row
+    by row instead.
+    """
+    raw_carriers, delay_texts, cancelled_texts = columns
+    for raw in set(raw_carriers).difference(codes):
+        code = (raw.decode() if isinstance(raw, bytes) else raw).strip()
+        codes[raw] = codes.setdefault(code, code)
+    picked = list(map(codes.__getitem__, raw_carriers))
+    zero, empty = (b"0", b"") if isinstance(cancelled_texts[0], bytes) else ("0", "")
+    if (cancelled_texts.count(zero) != len(cancelled_texts)
+            or empty in delay_texts or "" in picked):
+        keep = list(map(all, zip(map(zero.__eq__, cancelled_texts), delay_texts, picked)))
+        dropped = compress(zip(picked, delay_texts, cancelled_texts), map(not_, keep))
+        if any(_row_delay(*_texts(row)) is not None for row in dropped):
+            return _settle_each(columns, codes, carriers, delays)
+        picked = list(compress(picked, keep))
+        delay_texts = list(compress(delay_texts, keep))
+    try:
+        values = list(map(int, delay_texts))
+    except ValueError:
+        return _settle_each(columns, codes, carriers, delays)
+    carriers += picked
+    delays += values
+    return len(cancelled_texts) - len(values)
+
+
+def _texts(fields):
+    """``fields`` as ``str``: ASCII ``bytes`` decode to the same text."""
+    return [f.decode() if isinstance(f, bytes) else f for f in fields]
+
+
+def _settle_each(columns: Columns, codes: dict, carriers: list, delays: list) -> int:
+    """Settle ``columns`` row by row; every carrier field is already in ``codes``."""
+    invalid = 0
+    for raw, delay_text, cancelled_text in zip(*columns):
+        code = codes[raw]
+        delay = _row_delay(code, *_texts((delay_text, cancelled_text)))
+        if delay is None:
+            invalid += 1
+        else:
+            carriers.append(code)
+            delays.append(delay)
+    return invalid
+
+
 def group_rows(carriers: Sequence[str], delays: Sequence[int]) -> dict[str, tuple[int, int]]:
     """Group aligned (carrier, delay) rows into per-carrier (sum, count)."""
     if len(carriers) != len(delays):
         raise ValueError("carriers and delays must be aligned")
+    if carriers and carriers.count(carriers[0]) == len(carriers):
+        return {carriers[0]: (sum(delays), len(delays))}
     acc: dict[str, list[int]] = {}
     for carrier, delay in zip(carriers, delays):
         cell = acc.get(carrier)

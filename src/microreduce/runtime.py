@@ -21,13 +21,14 @@ import csv
 import io
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from random import Random
 from typing import Any, Callable, Optional
 
 from .calibration import MAX_MEMORY_MB, MIN_MEMORY_MB, CalibrationTable, vcpus
 from .core import new_execution_id
-from .sim import Event, Process, SimError, Simulator
+from .sim import ClockStalled, Event, Process, SimError, Simulator
 from .storage import KvStore, MessageQueue, ObjectStore
 
 LEDGER_COLUMNS = (
@@ -247,15 +248,20 @@ class InvocationContext:
         clients: StorageClients,
         execution_id: str,
         instance_id: str,
-        rng: Random,
+        seed: int,
     ):
         self.config = config
         self.cal = cal
         self.clients = clients
         self.execution_id = execution_id
         self.instance_id = instance_id
-        self.rng = rng
+        self._seed = seed
         self._mem_watermark_mb = 35
+
+    @cached_property
+    def rng(self) -> Random:
+        """The invocation's seeded RNG, built on first read: few handlers draw."""
+        return Random(("invocation", self._seed, self.instance_id).__repr__())
 
     def work(self, units: float):
         """Charge ``units`` of compute, scaled by the worker pool."""
@@ -367,8 +373,8 @@ class FunctionRuntime:
         if init_ms > 0:
             yield init_ms
         start = self.sim.now()
-        rng = Random(("invocation", self._seed, instance_id).__repr__())
-        ctx = InvocationContext(fn, self.cal, self.clients, execution_id, instance_id, rng)
+        ctx = InvocationContext(fn, self.cal, self.clients, execution_id, instance_id,
+                                self._seed)
         result = error = None
         deadline = start + fn.timeout_ms
         gen = handler(ctx, payload)
@@ -538,8 +544,15 @@ class _IdleConsumer:
         cal = self.source.runtime.cal
         poll, receive = cal.consumer_poll_interval_ms, cal.queue_receive_ms
         t = (self.last + poll) + receive
+        # A tick that does not move the clock at ``instant`` would crawl
+        # towards it without end; one that does not move it at ``t`` stalls.
+        crawls = (instant + poll) + receive == instant
         while t < instant:
-            t = (t + poll) + receive
+            tick = (t + poll) + receive
+            if tick == t or crawls:
+                raise ClockStalled(f"a consumer poll of {poll} ms and receive of "
+                                   f"{receive} ms does not advance the clock to {instant} ms")
+            t = tick
         return t
 
     def _schedule(self, tick: float) -> None:

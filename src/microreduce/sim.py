@@ -29,6 +29,15 @@ class SimError(RuntimeError):
     pass
 
 
+class ClockStalled(BaseException):
+    """A wait that would never move the virtual clock forward.
+
+    Not an ``Exception``: it can arise inside a handler's storage call, and
+    handler and invocation code that catches ``Exception`` must not take it
+    for a handler error and retry; it ends the run.
+    """
+
+
 class Event:
     """One-shot event; waiters resume (via the scheduler) when triggered."""
 

@@ -4,8 +4,10 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from microreduce import cli
 from microreduce.cli import main
 from microreduce.scenarios import preset
+from microreduce.sim import ClockStalled
 from microreduce.storage import ObjectStore
 from microreduce.workflow import run_job
 
@@ -173,6 +175,22 @@ class TestRun:
         assert isinstance(result.exception, SystemExit)  # no traceback
         assert f"bad calibration file: {message}" in result.output
         assert not out.exists()
+
+    def test_a_stalled_clock_fails_the_run_without_a_traceback(self, runner, tmp_path,
+                                                               monkeypatch):
+        # The stall itself is tested in test_workflow; a stub keeps a
+        # regression there from hanging this test.
+        def stalled(*args, **kwargs):
+            raise ClockStalled("a consumer poll of 1e-20 ms and receive of 0.0 ms "
+                               "does not advance the clock to 12.5 ms")
+
+        monkeypatch.setattr(cli, "run_job", stalled)
+        data = generate_cli_data(runner, tmp_path, rows_per_file=300)
+        result = runner.invoke(main, ["run", "--scenario", "1", "--data", str(data),
+                                      "--out", str(tmp_path / "runs")])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # no traceback
+        assert "run stalled: a consumer poll of 1e-20 ms" in result.output
 
     def test_stalled_exit_code_two_and_override_resumes(self, runner, tmp_path):
         data = generate_cli_data(runner, tmp_path)

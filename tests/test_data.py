@@ -204,6 +204,11 @@ def test_parse_matches_the_stringio_reader(text, block):
         assert got == expected, type(given_body).__name__
 
 
+def _outputs(parsed):
+    stats = parsed.stats
+    return parsed.carriers, parsed.delays, stats.total_rows, stats.invalid_rows
+
+
 def test_quote_free_field_over_the_limit_reads_as_the_stringio_reader():
     long_tail = valid_row().replace("N1AA", "N1AA" + "X" * 100)
     body = "\n".join([CSV_HEADER, valid_row(), long_tail, valid_row("UA")]) + "\n"
@@ -211,11 +216,52 @@ def test_quote_free_field_over_the_limit_reads_as_the_stringio_reader():
     try:
         with pytest.raises(csv.Error):
             list(csv.reader(io.StringIO(body)))
-        expected = list(_stringio_rows(body))
-        assert list(data._iter_rows(body)) == expected
-        assert list(data._iter_rows(body.encode())) == expected
+        expected = _reference_parse(body)
+        assert expected == (["AA", "AA", "UA"], [15, 15, 15], 3, 0)
+        assert _outputs(parse_csv(body)) == expected
+        assert _outputs(parse_csv(body.encode())) == expected
     finally:
         csv.field_size_limit(old_limit)
+
+
+# Fields that int() and the validity rule may read apart, drawn into the
+# carrier, delay and cancelled columns of header-width rows; "Ü1" is a
+# non-ASCII carrier, and "" an empty one.
+_ODD_FIELDS = [" 5", "+5", "1_0", "2.6", "nan", "inf", "", " 0", "0.0", "1", "1.0",
+               "\x1c5", "\u0663", "\u00dc1"]
+_ROW_FIELDS = valid_row().split(",")
+_CARRIER, _DELAY, _CANCELLED = (_ROW_FIELDS.index(v) for v in ("AA", "15", "0"))
+
+
+def _field(plain: str):
+    return st.one_of(st.just(plain), st.sampled_from(_ODD_FIELDS))
+
+
+def _header_width_row(fields: tuple[str, str, str]) -> str:
+    row = list(_ROW_FIELDS)
+    row[_CARRIER], row[_DELAY], row[_CANCELLED] = fields
+    return ",".join(row)
+
+
+_HEADER_WIDTH_ROW = st.tuples(_field("AA"), _field("-7"), _field("0")).map(_header_width_row)
+# One field short, one too many, and an empty line.
+_RAGGED_ROW = st.sampled_from([",".join(_ROW_FIELDS[:-1]), valid_row() + ",x", ""])
+
+
+@given(st.lists(_HEADER_WIDTH_ROW | _RAGGED_ROW, max_size=12), st.booleans(),
+       st.integers(min_value=1, max_value=400))
+@settings(max_examples=500)
+def test_header_width_blocks_settle_by_columns_as_rows(rows, final_lf, block):
+    body = "\n".join([CSV_HEADER, *rows]) + ("\n" if final_lf else "")
+    expected = _reference_parse(body)
+    lined_up = all(len(row.split(",")) == len(_ROW_FIELDS) for row in rows)
+    for given_body in (body, body.encode()):
+        with mock.patch.object(data, "_BLOCK_CHARS", block):
+            assert _outputs(parse_csv(given_body)) == expected, type(given_body).__name__
+            items = list(data._iter_rows(given_body))[1:]
+        if lined_up:
+            # No silent fallback: each data block is one Columns item.
+            assert all(type(item) is kernels.Columns for item in items)
 
 
 # One quote-free line of the alphabet above.  CR and LF come only at its

@@ -108,3 +108,33 @@ def test_entries_per_batch_equals_distinct_carriers_randomized():
         delays = [rng.randrange(-60, 600) for _ in range(size)]
         groups = kernels.group_rows(carriers, delays)
         assert len(groups) == len(set(carriers))
+
+
+def _reference_group(carriers, delays):
+    acc = {}
+    for carrier, delay in zip(carriers, delays):
+        s, c = acc.get(carrier, (0, 0))
+        acc[carrier] = (s + delay, c + 1)
+    return acc
+
+
+# Each code is built afresh, so equal codes are distinct objects and the
+# check below sees which one became the key.
+_CODE = st.sampled_from(["AA", "UA", "DL"]).map(lambda code: "".join(list(code)))
+_DELAY = st.integers(-600, 600)
+_BATCH = st.one_of(
+    st.tuples(_CODE, st.lists(_DELAY, min_size=1, max_size=60)).map(
+        lambda t: ([t[0]] + ["".join(list(t[0])) for _ in t[1][1:]], t[1])),
+    st.lists(st.tuples(_CODE, _DELAY), max_size=60).map(
+        lambda pairs: ([c for c, _ in pairs], [d for _, d in pairs])),
+)
+
+
+@given(_BATCH)
+@settings(max_examples=300)
+def test_group_rows_equals_a_dict_loop(batch):
+    carriers, delays = batch
+    groups = kernels.group_rows(carriers, delays)
+    expected = _reference_group(carriers, delays)
+    assert groups == expected
+    assert [id(key) for key in groups] == [id(key) for key in expected]

@@ -1,13 +1,16 @@
 import dataclasses
 import hashlib
 import json
+import signal
 
 import pytest
 
 from microreduce import workflow
+from microreduce.calibration import DEFAULT_CALIBRATION
 from microreduce.data import GenSpec, generate_dataset, reference_kv_workload_spec
 from microreduce.runtime import render_ledger_csv
 from microreduce.scenarios import ScenarioConfig, preset
+from microreduce.sim import ClockStalled
 from microreduce.storage import ObjectStore, ThrottlePolicy
 from microreduce.workflow import (
     IncompleteTraceError,
@@ -306,3 +309,27 @@ def test_map_commits_each_batch_once_under_visibility_expiry():
                          raw)
         assert result.mapped + result.dlq_rows == ledger.valid, visibility_timeout_ms
         assert result.mapped <= result.ingested, visibility_timeout_ms
+
+
+def test_a_poll_too_small_to_move_the_clock_fails_the_run():
+    # (t + 1e-20) + 0 == t for any t past ~1e-4 ms, so an idle consumer's
+    # next receive instant never reaches a later send.  The run used to
+    # spin there forever; it must fail at once, and not as a handler error.
+    cal = dataclasses.replace(DEFAULT_CALIBRATION, consumer_poll_interval_ms=1e-20,
+                              queue_receive_ms=0.0)
+    raw, _ = small_dataset(files=1, rows=300)
+
+    class Hung(BaseException):
+        """Raised by the alarm; an ``Exception`` would be retried as a handler error."""
+
+    def hung(signum, frame):
+        raise Hung("the run did not fail within a second")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        with pytest.raises(ClockStalled, match="does not advance the clock to"):
+            run_job(preset(1), raw, cal=cal)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
