@@ -2,10 +2,11 @@
 aggregate, reduce rank.
 
 Handlers are generator functions ``handler(env, ctx, payload)`` executed by
-the runtime once the workflow binds the job's ``PipelineEnv`` as ``env``;
-every shared effect flows through ``ctx.clients``, so any number of
-instances can run concurrently.  The gate runs as a workflow wait-loop, not
-as a function invocation.
+the runtime once the workflow binds the job's ``PipelineEnv`` as ``env``.
+They hold no store: every shared effect is a storage op they yield, a tuple
+``(name, *args)`` that the runtime's driver prices and applies, so any number
+of instances can run concurrently.  The gate runs as a workflow wait-loop,
+not as a function invocation, and yields ops the same way.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from . import kernels
 from .core import DegenerateAggregateError, CarrierAggregate, rank_carriers
 from .data import parse_csv
 from .ports import ShuffleEntry
-from .runtime import InvocationContext, StorageClients
+from .runtime import InvocationContext
 from .storage import StorageFaultError, ThrottledError
 
 
@@ -87,7 +88,7 @@ def ingest_handler(env: PipelineEnv, ctx: InvocationContext, event: IngestEvent)
     write the ingested counter once everything is on the queue."""
     cal = ctx.cal
 
-    body = yield from ctx.clients.raw_object_get(event.object_key)
+    body = yield ("raw_object_get", event.object_key)
     ctx.note_memory(40 + 3 * len(body) // (1024 * 1024))
     parsed = parse_csv(body)  # raises on a broken header; nothing counted
 
@@ -100,16 +101,14 @@ def ingest_handler(env: PipelineEnv, ctx: InvocationContext, event: IngestEvent)
         yield from ctx.work(
             (stop - start) * cal.ingest_row_units + cal.ingest_batch_units
         )
-        yield from ctx.clients.queue_send(
-            Batch(event.execution_id, batches_emitted, event.object_key,
-                  carriers[start:stop], delays[start:stop])
-        )
+        yield ("queue_send", Batch(event.execution_id, batches_emitted, event.object_key,
+                                   carriers[start:stop], delays[start:stop]))
         batches_emitted += 1
 
     if n_valid > 0:
         # Deliberately last: the gate must never observe a completed
         # ingest count while sends are still in flight.
-        yield from ctx.clients.counter_add(event.execution_id, "ingested", n_valid)
+        yield ("counter_add", event.execution_id, "ingested", n_valid)
     return {
         "batches_emitted": batches_emitted,
         "records_emitted": n_valid,
@@ -151,7 +150,7 @@ def map_handler(env: PipelineEnv, ctx: InvocationContext, batch: Batch):
         )
         raise
 
-    yield from ctx.clients.counter_add(execution_id, "mapped", rows)
+    yield ("counter_add", execution_id, "mapped", rows)
     return {"entries_written": len(written)}
 
 
@@ -170,7 +169,6 @@ def _write_with_retry(ctx: InvocationContext, env: PipelineEnv, entry: ShuffleEn
 
 
 def reduce_gate(
-    clients: StorageClients,
     execution_id: str,
     poll_interval_ms: float = 1000.0,
     max_attempts: int = 300,
@@ -188,7 +186,7 @@ def reduce_gate(
     while attempts < max_attempts:
         yield poll_interval_ms
         attempts += 1
-        ingested, mapped = yield from clients.counter_get(execution_id)
+        ingested, mapped = yield ("counter_get", execution_id)
         if ingested == mapped and ingested > 0:
             return GateState(execution_id, ingested, mapped, attempts)
     return GateState(execution_id, ingested, mapped, attempts,
@@ -210,7 +208,7 @@ def reduce_aggregate_handler(env: PipelineEnv, ctx: InvocationContext, payload: 
         count += entry.count
     yield from ctx.work(len(entries) * ctx.cal.reduce_merge_units_per_entry)
     ctx.note_memory(40 + len(entries) // 500)
-    yield from ctx.clients.results_put(ctx.execution_id, partition_key, delay_sum, count)
+    yield ("results_put", ctx.execution_id, partition_key, delay_sum, count)
     return {"carrier": partition_key, "delay_sum": delay_sum, "count": count,
             "entries_read": len(entries)}
 
@@ -218,17 +216,15 @@ def reduce_aggregate_handler(env: PipelineEnv, ctx: InvocationContext, payload: 
 def reduce_rank_handler(env: PipelineEnv, ctx: InvocationContext, payload: dict):
     """Load all per-carrier aggregates, rank them, persist the result."""
     limit = payload.get("limit", 10)
-    rows = yield from ctx.clients.results_list(ctx.execution_id)
+    rows = yield ("results_list", ctx.execution_id)
     aggs = [CarrierAggregate(carrier=c, delay_sum=s, count=n) for c, s, n in rows]
     yield from ctx.work(
         ctx.cal.rank_base_units + len(aggs) * ctx.cal.rank_per_carrier_units
     )
     ranking = rank_carriers(aggs, limit=limit)
     doc = ranking_doc(ranking)
-    yield from ctx.clients.object_put(
-        f"rankings/{ctx.execution_id}.json",
-        json.dumps(doc, separators=(",", ":")).encode("utf-8"),
-    )
+    yield ("object_put", f"rankings/{ctx.execution_id}.json",
+           json.dumps(doc, separators=(",", ":")).encode("utf-8"))
     return {"ranking": doc}
 
 

@@ -2,7 +2,9 @@
 
 Both adapters expose the same three operations (write an entry, read a
 partition, list partitions) and are observationally equivalent when the
-backend is fault-free; which one a job uses is pure configuration.
+backend is fault-free; which one a job uses is pure configuration.  Each
+operation is a generator that yields storage ops for ``FunctionRuntime.drive``
+to apply; an adapter holds no store.
 """
 
 from __future__ import annotations
@@ -10,7 +12,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .runtime import StorageClients
 from .storage import KvItem
 
 
@@ -55,34 +56,27 @@ def object_key_for(entry: ShuffleEntry) -> str:
 class ObjectShuffleAdapter:
     """Entries as JSON objects under ``{execution}/{partition}/{instance}.json``."""
 
-    name = "object"
-
-    def __init__(self, clients: StorageClients):
-        self.clients = clients
-
     def write_entry(self, entry: ShuffleEntry):
         body = json.dumps(entry.to_doc(), sort_keys=True).encode("utf-8")
-        yield from self.clients.object_put(object_key_for(entry), body)
+        yield ("object_put", object_key_for(entry), body)
 
     def read_partition(self, execution_id: str, partition_key: str):
-        keys = yield from self.clients.object_list(f"{execution_id}/{partition_key}/")
+        keys = yield ("object_list", f"{execution_id}/{partition_key}/")
         entries = []
         for key in keys:
-            body = yield from self.clients.object_get(key)
+            body = yield ("object_get", key)
             entries.append(ShuffleEntry.from_doc(json.loads(body)))
         return entries
 
     def list_partitions(self, execution_id: str):
-        keys = yield from self.clients.object_list(f"{execution_id}/")
+        keys = yield ("object_list", f"{execution_id}/")
         partitions = sorted({key.split("/")[1] for key in keys})
         return partitions
 
     def delete_instance_entries(self, execution_id: str, instance_id: str,
                                 partition_keys: list[str]):
         for pk in partition_keys:
-            yield from self.clients.object_delete(
-                f"{execution_id}/{pk}/{instance_id}.json"
-            )
+            yield ("object_delete", f"{execution_id}/{pk}/{instance_id}.json")
 
 
 class KvShuffleAdapter:
@@ -93,11 +87,6 @@ class KvShuffleAdapter:
     key is ``{instance_id}#{partition_key}`` to keep primary keys unique.
     """
 
-    name = "kv"
-
-    def __init__(self, clients: StorageClients):
-        self.clients = clients
-
     def write_entry(self, entry: ShuffleEntry):
         item = KvItem(
             hash_key=entry.execution_id,
@@ -105,25 +94,25 @@ class KvShuffleAdapter:
             lsi_sort_key=entry.partition_key,
             payload=entry.to_doc(),
         )
-        yield from self.clients.kv_put(item)
+        yield ("kv_put", item)
 
     def read_partition(self, execution_id: str, partition_key: str):
-        items = yield from self.clients.kv_query_lsi(execution_id, partition_key)
+        items = yield ("kv_query_lsi", execution_id, partition_key)
         return [ShuffleEntry.from_doc(item.payload) for item in items]
 
     def list_partitions(self, execution_id: str):
-        items = yield from self.clients.kv_scan(execution_id)
+        items = yield ("kv_scan", execution_id)
         return sorted({item.lsi_sort_key for item in items})
 
     def delete_instance_entries(self, execution_id: str, instance_id: str,
                                 partition_keys: list[str]):
         for pk in partition_keys:
-            yield from self.clients.kv_delete(execution_id, f"{instance_id}#{pk}")
+            yield ("kv_delete", execution_id, f"{instance_id}#{pk}")
 
 
-def make_adapter(kind: str, clients: StorageClients):
+def make_adapter(kind: str):
     if kind == "object":
-        return ObjectShuffleAdapter(clients)
+        return ObjectShuffleAdapter()
     if kind == "kv":
-        return KvShuffleAdapter(clients)
+        return KvShuffleAdapter()
     raise ValueError(f"unknown shuffle backend {kind!r} (expected object|kv)")

@@ -7,18 +7,23 @@ ceiling with FIFO overflow queuing, and queue-driven consumer pools that
 scale by a fixed step per virtual minute.
 
 An invocation runs its handler in its caller's process: the caller drives
-it with ``yield from``, and the invocation drives the handler generator in
-turn.  It passes each latency the handler yields on to the scheduler and
+it with ``yield from``, and ``FunctionRuntime.drive`` drives the handler
+generator in turn.  A handler yields latencies and storage ops, tuples
+``(name, *args)`` such as ``("kv_put", item)``; ``StorageClients`` is the one
+table that says which store method an op calls, what it costs and when it
+lands.  The driver passes one latency per yield on to the scheduler and
 enforces the hard timeout itself: the first latency that would reach the
 deadline becomes a wait to the deadline, where ``Interrupted`` is thrown into
-the handler.  A handler yields only latencies; any other yield raises
-``SimError`` out of the run.
+the handler.  Any other yield, or an unknown op, raises ``SimError`` out of
+the run.  The workflow's partition listing and gate, and the queue
+consumers' receives and deletes, go through the same driver.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import math
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -144,13 +149,15 @@ def load_ledger_csv(path: Path | str) -> list[InvocationRecord]:
 
 
 class StorageClients:
-    """Latency-charging facades over the storage backends.
+    """One job's storage ops: ``name -> (applied at issue?, store method, price)``.
 
-    Every method is a generator that advances the virtual clock by the op's
-    modeled latency.  A read queries its backend once, at call time, prices
-    that result and returns it after the latency; a missing object key
-    raises before any time passes.  A write applies after the latency, so
-    its state change lands at the op's completion instant.
+    A handler issues an op by yielding ``(name, *args)``, and
+    ``FunctionRuntime.drive`` looks the name up here.  An op applied at issue
+    (a read that lists or fetches) calls its store when it is yielded, is
+    priced by the result and returns it after the latency; a missing object
+    key raises before any time passes.  Every other op is priced by its args
+    and calls its store once the latency has elapsed, so its state change
+    lands at the op's completion instant.  An absent store serves no ops.
     """
 
     def __init__(
@@ -162,97 +169,53 @@ class StorageClients:
         queue: Optional[MessageQueue] = None,
     ):
         self.cal = cal
-        self.objects = objects
-        self.raw_objects = raw_objects
-        self.kv = kv
-        self.queue = queue
-
-    def object_get(self, key: str, store: Optional[ObjectStore] = None):
-        body = (store if store is not None else self.objects).get(key)
-        yield self.cal.object_get_ms(len(body))
-        return body
-
-    def raw_object_get(self, key: str):
-        return self.object_get(key, store=self.raw_objects)
-
-    def object_put(self, key: str, body: bytes, store: Optional[ObjectStore] = None):
-        if store is None:
-            store = self.objects
-        yield self.cal.object_put_ms(len(body))
-        store.put(key, body)
-
-    def object_delete(self, key: str):
-        yield self.cal.object_put_ms(0)
-        self.objects.delete(key)
-
-    def object_list(self, prefix: str):
-        keys = self.objects.list(prefix)
-        yield self.cal.object_list_ms(len(keys))
-        return keys
-
-    def kv_put(self, item):
-        yield self.cal.kv_put_ms
-        self.kv.put_item(item)  # may raise ThrottledError at completion time
-
-    def kv_delete(self, hash_key: str, sort_key: str):
-        yield self.cal.kv_put_ms
-        self.kv.delete_item(hash_key, sort_key)
-
-    def kv_query_lsi(self, hash_key: str, lsi_sort_key: str):
-        items = self.kv.query_lsi(hash_key, lsi_sort_key)
-        yield self.cal.kv_query_ms(len(items))
-        return items
-
-    def kv_scan(self, hash_key: str):
-        items = self.kv.scan(hash_key)
-        yield self.cal.kv_query_ms(len(items))
-        return items
-
-    def counter_add(self, execution_id: str, fieldname: str, delta: int):
-        yield self.cal.counter_add_ms
-        return self.kv.counter_add(execution_id, fieldname, delta)
-
-    def counter_get(self, execution_id: str):
-        yield self.cal.counter_get_ms
-        return self.kv.counter_get(execution_id)
-
-    def results_put(self, execution_id: str, carrier: str, delay_sum: int, count: int):
-        yield self.cal.kv_put_ms
-        self.kv.put_result(execution_id, carrier, delay_sum, count)
-
-    def results_list(self, execution_id: str):
-        rows = self.kv.list_results(execution_id)
-        yield self.cal.kv_query_ms(len(rows))
-        return rows
-
-    def queue_send(self, body: Any):
-        yield self.cal.queue_send_ms
-        self.queue.send(body)
-
-    def queue_receive(self):
-        yield self.cal.queue_receive_ms
-        return self.queue.receive()
-
-    def queue_delete(self, receipt: int):
-        yield self.cal.queue_delete_ms
-        return self.queue.delete(receipt)
+        ops: dict[str, tuple[bool, Callable, Callable]] = {}
+        if raw_objects is not None:
+            ops["raw_object_get"] = (True, raw_objects.get,
+                                     lambda body: cal.object_get_ms(len(body)))
+        if objects is not None:
+            ops.update(
+                object_get=(True, objects.get, lambda body: cal.object_get_ms(len(body))),
+                object_put=(False, objects.put,
+                            lambda key, body: cal.object_put_ms(len(body))),
+                object_delete=(False, objects.delete, lambda key: cal.object_put_ms(0)),
+                object_list=(True, objects.list, lambda keys: cal.object_list_ms(len(keys))),
+            )
+        if kv is not None:
+            ops.update(
+                kv_put=(False, kv.put_item, lambda item: cal.kv_put_ms),
+                kv_delete=(False, kv.delete_item, lambda hash_key, sort_key: cal.kv_put_ms),
+                kv_query_lsi=(True, kv.query_lsi, lambda items: cal.kv_query_ms(len(items))),
+                kv_scan=(True, kv.scan, lambda items: cal.kv_query_ms(len(items))),
+                counter_add=(False, kv.counter_add,
+                             lambda eid, fieldname, delta: cal.counter_add_ms),
+                counter_get=(False, kv.counter_get, lambda eid: cal.counter_get_ms),
+                results_put=(False, kv.put_result,
+                             lambda eid, carrier, delay_sum, count: cal.kv_put_ms),
+                results_list=(True, kv.list_results, lambda rows: cal.kv_query_ms(len(rows))),
+            )
+        if queue is not None:
+            ops.update(
+                queue_send=(False, queue.send, lambda body: cal.queue_send_ms),
+                queue_receive=(False, queue.receive, lambda: cal.queue_receive_ms),
+                queue_delete=(False, queue.delete, lambda receipt: cal.queue_delete_ms),
+            )
+        self.ops = ops
 
 
 class InvocationContext:
-    """What a handler sees: config, clients, seeded RNG, work charging."""
+    """What a handler sees: config, seeded RNG, work charging."""
 
     def __init__(
         self,
         config: FunctionConfig,
         cal: CalibrationTable,
-        clients: StorageClients,
         execution_id: str,
         instance_id: str,
         seed: int,
     ):
         self.config = config
         self.cal = cal
-        self.clients = clients
         self.execution_id = execution_id
         self.instance_id = instance_id
         self._seed = seed
@@ -277,9 +240,10 @@ class InvocationContext:
 
 
 #: A generator function ``handler(ctx, payload)`` run in the invoking
-#: process.  It yields only latencies (numbers); the invocation enforces the
-#: deadline between them and raises ``SimError`` on any other yield.  Its
-#: return value becomes the record's ``result``.  The pipeline's handlers
+#: process.  It yields latencies (numbers) and storage ops (``(name, *args)``
+#: tuples named in ``StorageClients.ops``); ``FunctionRuntime.drive`` applies
+#: the ops, enforces the deadline between yields and raises ``SimError`` on
+#: any other yield.  Its return value becomes the record's ``result``.  The pipeline's handlers
 #: take a ``PipelineEnv`` first, bound with ``functools.partial``.
 Handler = Callable[[InvocationContext, Any], Any]
 
@@ -354,10 +318,8 @@ class FunctionRuntime:
     ):
         """Run one invocation in the calling process; returns its InvocationRecord.
 
-        The caller drives it with ``yield from``.  A handler latency that
-        would reach ``start + timeout_ms`` is cut to a wait for that instant,
-        and ``Interrupted`` is thrown into the handler there.  What the
-        handler yields after that is its cleanup, passed on uncut.
+        The caller drives it with ``yield from``; ``drive`` runs the handler
+        against the deadline ``start + timeout_ms``.
         """
         # Admission control: saturated invocations queue FIFO, never drop.
         if self._active >= self.limits.account_concurrency:
@@ -373,37 +335,18 @@ class FunctionRuntime:
         if init_ms > 0:
             yield init_ms
         start = self.sim.now()
-        ctx = InvocationContext(fn, self.cal, self.clients, execution_id, instance_id,
-                                self._seed)
+        ctx = InvocationContext(fn, self.cal, execution_id, instance_id, self._seed)
         result = error = None
-        deadline = start + fn.timeout_ms
-        gen = handler(ctx, payload)
-        step, arg = gen.send, None
-        interrupted = False
-        while True:
-            try:
-                latency = step(arg)
-            except StopIteration as stop:
-                result, status = stop.value, "ok"
-                break
-            except Interrupted:
-                status = "timeout"
-                break
-            except Exception as exc:
-                status, error = "error", exc
-                break
-            if not isinstance(latency, (int, float)):
-                raise SimError(f"handler of {fn.name!r} yielded {latency!r}, not a latency")
-            if interrupted or self.sim.now() + latency < deadline:
-                yield latency
-                step, arg = gen.send, None
-            else:
-                # land on the deadline exactly: now + (deadline - now) may not
-                expired = self.sim.event()
-                self.sim.call_at(deadline, expired.trigger)
-                yield expired
-                step, arg = gen.throw, Interrupted(f"{fn.name} timed out")
-                interrupted = True
+        try:
+            result = yield from self.drive(handler(ctx, payload), fn.name,
+                                           start + fn.timeout_ms)
+            status = "ok"
+        except Interrupted:
+            status = "timeout"
+        except SimError:
+            raise
+        except Exception as exc:
+            status, error = "error", exc
 
         duration = float(fn.timeout_ms) if status == "timeout" else self.sim.now() - start
         record = InvocationRecord(
@@ -427,6 +370,63 @@ class FunctionRuntime:
         else:
             self._active -= 1
         return record
+
+    def drive(self, gen, name: str, deadline: float = math.inf):
+        """Run ``gen`` in the calling process and return what it returns.
+
+        The caller drives this with ``yield from``.  ``gen`` yields latencies
+        and ops; each yield becomes exactly one latency for the scheduler,
+        even a 0 ms one.  An op's result, or the exception its store raised,
+        is sent or thrown into ``gen`` at its yield.  A latency that would
+        reach ``deadline`` is cut to a wait for that instant, and
+        ``Interrupted`` is thrown into ``gen`` there; what ``gen`` yields
+        after that is its cleanup, passed on uncut.  Any other yield, or an
+        op name that ``StorageClients.ops`` lacks, raises ``SimError``.
+        """
+        ops = self.clients.ops
+        now = self.sim.now
+        send, throw = gen.send, gen.throw
+        step, arg = send, None
+        interrupted = False
+        while True:
+            try:
+                item = step(arg)
+            except StopIteration as stop:
+                return stop.value
+            step, arg, apply = send, None, None
+            if item.__class__ is tuple:
+                try:
+                    at_issue, apply, price = ops[item[0]]
+                except (KeyError, IndexError, TypeError):
+                    raise SimError(f"{name!r} yielded {item!r}, not a known op") from None
+                args = item[1:]
+                if at_issue:
+                    try:
+                        arg = apply(*args)
+                    except Exception as exc:
+                        step, arg = throw, exc
+                        continue
+                    latency, apply = price(arg), None
+                else:
+                    latency = price(*args)
+            elif isinstance(item, (int, float)):
+                latency = item
+            else:
+                raise SimError(f"{name!r} yielded {item!r}, not a latency or an op")
+            if interrupted or now() + latency < deadline:
+                yield latency
+                if apply is not None:
+                    try:
+                        arg = apply(*args)
+                    except Exception as exc:
+                        step, arg = throw, exc
+            else:
+                # land on the deadline exactly: now + (deadline - now) may not
+                expired = self.sim.event()
+                self.sim.call_at(deadline, expired.trigger)
+                yield expired
+                step, arg = throw, Interrupted(f"{name} timed out")
+                interrupted = True
 
     def run_single(
         self, fn: FunctionConfig, handler: Handler, payload: Any, execution_id: str = ""
@@ -506,17 +506,26 @@ class QueueSource:
                 self._grow(min(limits.queue_scale_per_min, room))
 
     def _consumer(self):
-        clients = self.runtime.clients
+        runtime = self.runtime
+        name = f"consumer-{self.fn.name}"
         while not self._stopped:
-            messages = yield from clients.queue_receive()
+            messages = yield from runtime.drive(_receive(), name)
             if not messages:
-                messages = yield _IdleConsumer(self, self.runtime.sim.now()).delivered
+                messages = yield _IdleConsumer(self, runtime.sim.now()).delivered
             for msg in messages:
-                record = yield from self.runtime.invocation(
+                record = yield from runtime.invocation(
                     self.fn, self.handler, msg.body, getattr(msg.body, "execution_id", ""))
                 if record.outcome == "ok":
-                    yield from clients.queue_delete(msg.receipt)
+                    yield from runtime.drive(_delete(msg.receipt), name)
                 # otherwise leave it; visibility expiry redelivers or retires
+
+
+def _receive():
+    return (yield ("queue_receive",))
+
+
+def _delete(receipt: int):
+    return (yield ("queue_delete", receipt))
 
 
 class _IdleConsumer:

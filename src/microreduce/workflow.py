@@ -184,10 +184,10 @@ class JobResult:
         self.queue = MessageQueue(clock=self.sim.now,
                                   visibility_timeout_ms=scenario.visibility_timeout_ms,
                                   max_receives=scenario.max_receives)
-        self.clients = StorageClients(cal, objects=self.objects, raw_objects=raw_store,
-                                      kv=self.kv, queue=self.queue)
-        self.port = make_adapter(scenario.shuffle_system, self.clients)
-        self.runtime = FunctionRuntime(self.sim, self.clients, seed=seed)
+        self.port = make_adapter(scenario.shuffle_system)
+        self.runtime = FunctionRuntime(
+            self.sim, StorageClients(cal, objects=self.objects, raw_objects=raw_store,
+                                     kv=self.kv, queue=self.queue), seed=seed)
         self.env = PipelineEnv(port=self.port, batch_size=scenario.batch_size,
                                map_failure_rate=scenario.map_failure_rate)
         self.file_keys = file_keys
@@ -279,19 +279,19 @@ def _orchestrate(job: JobResult):
 
         # ReducePrep: partition discovery ahead of the gated fan-out
         entered = job.enter("ReducePrep")
-        yield from job.port.list_partitions(job.execution_id)
+        yield from job.runtime.drive(job.port.list_partitions(job.execution_id),
+                                     "ReducePrep")
         job.exit("ReducePrep", "completed", entered)
         yield job.cal.workflow_transition_ms
 
         # ReduceGate wait-loop
         entered = job.enter("ReduceGate")
-        gate = yield from reduce_gate(
-            job.clients,
+        gate = yield from job.runtime.drive(reduce_gate(
             job.execution_id,
             poll_interval_ms=job.scenario.gate_poll_ms,
             max_attempts=job.scenario.gate_max_attempts,
             override_on_stall=job.scenario.override_gate,
-        )
+        ), "ReduceGate")
         job.gate = gate
         if not gate.passes:
             job.exit("ReduceGate", "stalled", entered)
@@ -306,7 +306,8 @@ def _orchestrate(job: JobResult):
         # which the gate guarantees is complete (the prep snapshot may
         # predate the map tail).
         entered = job.enter("ParallelReduceAggregate")
-        partitions = yield from job.port.list_partitions(job.execution_id)
+        partitions = yield from job.runtime.drive(
+            job.port.list_partitions(job.execution_id), "ParallelReduceAggregate")
         job.partitions = list(partitions)
         job.check_payload(partitions)
         agg_tasks = [

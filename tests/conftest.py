@@ -3,9 +3,8 @@ from __future__ import annotations
 import pytest
 
 from microreduce.calibration import DEFAULT_CALIBRATION
-from microreduce.ports import make_adapter
 from microreduce.runtime import StorageClients
-from microreduce.storage import KvStore, MessageQueue, ObjectStore
+from microreduce.storage import KvStore, ObjectStore
 
 _ACCEPTANCE_RESULTS: dict[int, tuple[str, str]] = {}
 
@@ -36,13 +35,22 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_line(f"criterion {num:>2}: {status}  {title}")
 
 
-def drain(gen):
-    """Run a latency-charging generator outside a simulator, ignoring time."""
-    try:
-        while True:
-            next(gen)
-    except StopIteration as stop:
-        return stop.value
+def drain(gen, clients):
+    """Run a generator of latencies and ops outside a simulator: apply each op
+    through ``clients`` at once, ignore time, and return what ``gen`` returns.
+    A store's exception is thrown into ``gen`` at the op's yield."""
+    step, arg = gen.send, None
+    while True:
+        try:
+            item = step(arg)
+        except StopIteration as stop:
+            return stop.value
+        step, arg = gen.send, None
+        if isinstance(item, tuple):
+            try:
+                arg = clients.ops[item[0]][1](*item[1:])
+            except Exception as exc:
+                step, arg = gen.throw, exc
 
 
 class FakeClock:
@@ -61,16 +69,6 @@ def fake_clock() -> FakeClock:
     return FakeClock()
 
 
-def make_clients(clock=None, throttle=None, fault_rate=0.0):
-    clock = clock or FakeClock()
-    objects = ObjectStore(fault_rate=fault_rate)
-    kv = KvStore(clock=clock, throttle=throttle)
-    queue = MessageQueue(clock=clock)
-    raw = ObjectStore()
-    return StorageClients(DEFAULT_CALIBRATION, objects=objects, raw_objects=raw,
-                          kv=kv, queue=queue)
-
-
-def make_port(kind: str, clients=None, clock=None):
-    clients = clients or make_clients(clock=clock)
-    return make_adapter(kind, clients), clients
+def make_clients():
+    """An op table over a fresh object store and KV table."""
+    return StorageClients(DEFAULT_CALIBRATION, objects=ObjectStore(), kv=KvStore())

@@ -71,7 +71,7 @@ def run_anchor_ingest(raw: ObjectStore, memory_mb: int, workers: int) -> Invocat
                              raw_objects=raw, kv=KvStore(clock=sim.now),
                              queue=MessageQueue(clock=sim.now))
     runtime = FunctionRuntime(sim, clients, seed=0)
-    env = PipelineEnv(port=make_adapter("object", clients))
+    env = PipelineEnv(port=make_adapter("object"))
     fn = FunctionConfig("ingest", memory_mb, workers=workers)
     event = IngestEvent(EID, "raw", "part-0000.csv")
     proc = runtime.invoke(fn, partial(ingest_handler, env), event, EID)
@@ -196,18 +196,19 @@ def test_c03_message_conservation_under_injected_failures():
 def test_c04_microbatch_shuffle_arithmetic():
     # the canonical 30/30/30/10 batch writes exactly four entries
     sim = Simulator()
-    clients = StorageClients(DEFAULT_CALIBRATION, objects=ObjectStore(),
+    objects = ObjectStore()
+    clients = StorageClients(DEFAULT_CALIBRATION, objects=objects,
                              raw_objects=ObjectStore(), kv=KvStore(clock=sim.now),
                              queue=MessageQueue(clock=sim.now))
     runtime = FunctionRuntime(sim, clients, seed=0)
-    env = PipelineEnv(port=make_adapter("object", clients))
+    env = PipelineEnv(port=make_adapter("object"))
     batch = Batch(EID, 0, "f", ["A"] * 30 + ["B"] * 30 + ["C"] * 30 + ["D"] * 10,
                   [1] * 30 + [2] * 30 + [3] * 30 + [4] * 10)
     proc = runtime.invoke(FunctionConfig("map", 128), partial(map_handler, env),
                           batch, EID)
     sim.run(until=proc.finished)
     assert proc.result.result == {"entries_written": 4}
-    assert len(clients.objects.list(f"{EID}/")) == 4
+    assert len(objects.list(f"{EID}/")) == 4
 
     # generalization over 10k random batches
     rng = Random(424242)
@@ -465,22 +466,23 @@ def test_c09_cli_determinism(tmp_path):
 def test_c10_queue_scaling_law():
     def pool_history(minutes: int, cap: int):
         sim = Simulator()
+        queue = MessageQueue(clock=sim.now)
         clients = StorageClients(DEFAULT_CALIBRATION, objects=ObjectStore(),
                                  raw_objects=ObjectStore(), kv=KvStore(clock=sim.now),
-                                 queue=MessageQueue(clock=sim.now))
+                                 queue=queue)
         runtime = FunctionRuntime(
             sim, clients,
             limits=RuntimeLimits(account_concurrency=100_000, queue_scale_cap=cap),
         )
         for i in range(500_000):
-            clients.queue.send('{"execution_id": "e"}')
+            queue.send('{"execution_id": "e"}')
 
         def never_finishes(ctx, payload):
             yield 1e12
             return None
 
         source = runtime.attach_queue_source(FunctionConfig("map", 1024),
-                                             clients.queue, never_finishes)
+                                             queue, never_finishes)
         sim.run(max_time=minutes * 60_000.0 + 1.0)
         source.stop()
         return source.pool_history

@@ -3,13 +3,19 @@
 The package also imports no thread, process or event-loop module: its
 stores hold no locks because every call comes from one thread.  Its engine
 (scheduler, stores, runtime, kernels) imports no serialization module: values
-cross its layers as they are.
+cross its layers as they are.  Handlers and shuffle adapters reach storage
+only through the ops they yield: every op name yielded in the package is in
+the runtime's op table, and the modules that hold them name no store.
 """
 
 import ast
 from pathlib import Path
 
 import pytest
+
+from microreduce.calibration import DEFAULT_CALIBRATION
+from microreduce.runtime import StorageClients
+from microreduce.storage import KvStore, MessageQueue, ObjectStore
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "microreduce"
@@ -21,6 +27,9 @@ CONCURRENCY_MODULES = frozenset({"threading", "_thread", "multiprocessing", "con
 # modules that render artifacts and dead letters.
 ENGINE_MODULES = ("sim.py", "storage.py", "runtime.py", "kernels.py")
 SERIALIZATION_MODULES = frozenset({"json", "pickle", "marshal"})
+# Handlers and adapters hold no store: what they touch, they name in an op.
+OP_ISSUING_MODULES = ("pipeline.py", "ports.py")
+STORE_NAMES = frozenset({"StorageClients", "ObjectStore", "KvStore", "MessageQueue"})
 
 
 def _module_id(path: Path) -> str:
@@ -90,3 +99,52 @@ def test_checker_finds_a_serialization_import():
 def test_engine_module_imports_no_serialization(name):
     source = (PACKAGE / name).read_text(encoding="utf-8")
     assert banned_imports(source, SERIALIZATION_MODULES) == []
+
+
+def yielded_op_names(source: str) -> list[str]:
+    """The string literals at the head of the tuples that ``source`` yields."""
+    return [node.value.elts[0].value for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Yield) and isinstance(node.value, ast.Tuple)
+            and node.value.elts and isinstance(node.value.elts[0], ast.Constant)
+            and isinstance(node.value.elts[0].value, str)]
+
+
+def names_in(source: str, names: frozenset[str]) -> list[str]:
+    """Which of ``names`` ``source`` imports, reads or reaches as an attribute."""
+    found: set[str] = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name.rpartition(".")[2])
+    return sorted(found & names)
+
+
+def test_checker_finds_yielded_ops_and_store_names():
+    source = ("from .storage import KvItem, KvStore\n"
+              "def handler(ctx):\n"
+              "    body = yield ('object_get', 'k')\n"
+              "    yield 5.0\n"
+              "    yield ctx.clients.queue\n"
+              "    yield (body, 'kv_put')\n"
+              "    return ('results_list', body)\n")
+    assert yielded_op_names(source) == ["object_get"]
+    assert names_in(source, STORE_NAMES | {"clients"}) == ["KvStore", "clients"]
+
+
+def test_every_yielded_op_is_in_the_op_table():
+    table = StorageClients(DEFAULT_CALIBRATION, objects=ObjectStore(),
+                           raw_objects=ObjectStore(), kv=KvStore(), queue=MessageQueue()).ops
+    yielded = {path.name: yielded_op_names(path.read_text(encoding="utf-8"))
+               for path in sorted(PACKAGE.glob("*.py"))}
+    assert yielded["pipeline.py"] and yielded["ports.py"]
+    assert {name: sorted(set(ops) - set(table)) for name, ops in yielded.items()
+            if set(ops) - set(table)} == {}
+
+
+@pytest.mark.parametrize("name", OP_ISSUING_MODULES)
+def test_op_issuing_module_names_no_store(name):
+    source = (PACKAGE / name).read_text(encoding="utf-8")
+    assert names_in(source, STORE_NAMES) == []

@@ -27,26 +27,25 @@ from microreduce.storage import (
     ThrottlePolicy,
 )
 
+from conftest import drain
+
 EID = "7b8c1d84-e894-4969-83f3-72df58013200"
 
 
 def make_harness(shuffle="object", throttle=None, batch_size=100,
                  map_failure_rate=0.0, seed=0):
     sim = Simulator()
-    clients = StorageClients(
-        DEFAULT_CALIBRATION,
-        objects=ObjectStore(),
-        raw_objects=ObjectStore(),
-        kv=KvStore(clock=sim.now, throttle=throttle),
-        queue=MessageQueue(clock=sim.now),
-    )
-    port = make_adapter(shuffle, clients)
+    objects, raw = ObjectStore(), ObjectStore()
+    kv = KvStore(clock=sim.now, throttle=throttle)
+    queue = MessageQueue(clock=sim.now)
+    clients = StorageClients(DEFAULT_CALIBRATION, objects=objects, raw_objects=raw,
+                             kv=kv, queue=queue)
+    port = make_adapter(shuffle)
     runtime = FunctionRuntime(sim, clients, seed=seed)
     env = PipelineEnv(port=port, batch_size=batch_size,
                       map_failure_rate=map_failure_rate)
     return SimpleNamespace(sim=sim, clients=clients, port=port, runtime=runtime,
-                           env=env, kv=clients.kv, queue=clients.queue,
-                           raw=clients.raw_objects, objects=clients.objects)
+                           env=env, kv=kv, queue=queue, raw=raw, objects=objects)
 
 
 def invoke(h, fn, handler, payload, eid=EID):
@@ -161,12 +160,7 @@ class TestMap:
         assert entries[0].delay_sum == 700
 
     def _entries(self, h, pk):
-        gen = h.port.read_partition(EID, pk)
-        try:
-            while True:
-                next(gen)
-        except StopIteration as stop:
-            return stop.value
+        return drain(h.port.read_partition(EID, pk), h.clients)
 
     def test_injected_failure_tombstones_and_skips_counter(self):
         h = make_harness(map_failure_rate=1.0)
@@ -213,7 +207,7 @@ class TestMap:
 
 class TestGate:
     def run_gate(self, h, **kwargs):
-        proc = h.sim.spawn(reduce_gate(h.clients, EID, **kwargs))
+        proc = h.sim.spawn(h.runtime.drive(reduce_gate(EID, **kwargs), "gate"))
         h.sim.run(until=proc.finished)
         return proc.result
 
@@ -273,12 +267,7 @@ class TestReduceAggregate:
     def seed_entries(self, h, pk, parts):
         for i, (s, c) in enumerate(parts):
             iid = f"0000000{i}-0000-4000-8000-00000000000{i}"
-            gen = h.port.write_entry(ShuffleEntry(EID, pk, iid, s, c))
-            try:
-                while True:
-                    next(gen)
-            except StopIteration:
-                pass
+            drain(h.port.write_entry(ShuffleEntry(EID, pk, iid, s, c)), h.clients)
 
     def test_merge_example(self):
         h = make_harness()

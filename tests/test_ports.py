@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from microreduce.calibration import DEFAULT_CALIBRATION
 from microreduce.ports import (
     KvShuffleAdapter,
     ObjectShuffleAdapter,
@@ -9,6 +10,8 @@ from microreduce.ports import (
     make_adapter,
     object_key_for,
 )
+from microreduce.runtime import StorageClients
+from microreduce.storage import KvStore, ObjectStore
 from conftest import drain, make_clients
 
 EID = "0a632a0b-68c6-4875-9ba0-0f2bcd9bd556"
@@ -35,37 +38,38 @@ def test_object_key_layout():
 @pytest.mark.parametrize("kind", ["object", "kv"])
 def test_write_then_read_round_trips_bit_exact(kind):
     clients = make_clients()
-    adapter = make_adapter(kind, clients)
+    adapter = make_adapter(kind)
     written = entry(s=-17, c=3)
-    drain(adapter.write_entry(written))
-    got = drain(adapter.read_partition(EID, "AA"))
+    drain(adapter.write_entry(written), clients)
+    got = drain(adapter.read_partition(EID, "AA"), clients)
     assert got == [ShuffleEntry(EID, "AA", IID, -17, 3)]
 
 
 @pytest.mark.parametrize("kind", ["object", "kv"])
 def test_read_unknown_partition_empty(kind):
-    adapter = make_adapter(kind, make_clients())
-    assert drain(adapter.read_partition(EID, "ZZ")) == []
-    assert drain(adapter.list_partitions(EID)) == []
+    adapter, clients = make_adapter(kind), make_clients()
+    assert drain(adapter.read_partition(EID, "ZZ"), clients) == []
+    assert drain(adapter.list_partitions(EID), clients) == []
 
 
 @pytest.mark.parametrize("kind", ["object", "kv"])
 def test_list_partitions_is_sorted_set(kind):
-    adapter = make_adapter(kind, make_clients())
+    adapter, clients = make_adapter(kind), make_clients()
     for pk, iid in (("UA", IID), ("AA", IID), ("AA", IID2)):
-        drain(adapter.write_entry(entry(pk=pk, iid=iid)))
-    assert drain(adapter.list_partitions(EID)) == ["AA", "UA"]
+        drain(adapter.write_entry(entry(pk=pk, iid=iid)), clients)
+    assert drain(adapter.list_partitions(EID), clients) == ["AA", "UA"]
 
 
 @pytest.mark.parametrize("kind", ["object", "kv"])
 def test_delete_instance_entries_tombstones_one_attempt(kind):
-    adapter = make_adapter(kind, make_clients())
-    drain(adapter.write_entry(entry(pk="AA", iid=IID)))
-    drain(adapter.write_entry(entry(pk="BB", iid=IID)))
-    drain(adapter.write_entry(entry(pk="AA", iid=IID2, s=99)))
-    drain(adapter.delete_instance_entries(EID, IID, ["AA", "BB"]))
-    assert drain(adapter.read_partition(EID, "AA")) == [entry(pk="AA", iid=IID2, s=99)]
-    assert drain(adapter.read_partition(EID, "BB")) == []
+    adapter, clients = make_adapter(kind), make_clients()
+    drain(adapter.write_entry(entry(pk="AA", iid=IID)), clients)
+    drain(adapter.write_entry(entry(pk="BB", iid=IID)), clients)
+    drain(adapter.write_entry(entry(pk="AA", iid=IID2, s=99)), clients)
+    drain(adapter.delete_instance_entries(EID, IID, ["AA", "BB"]), clients)
+    assert drain(adapter.read_partition(EID, "AA"), clients) == [
+        entry(pk="AA", iid=IID2, s=99)]
+    assert drain(adapter.read_partition(EID, "BB"), clients) == []
 
 
 def test_adapters_are_observationally_equivalent():
@@ -76,33 +80,34 @@ def test_adapters_are_observationally_equivalent():
     ]
     views = {}
     for kind in ("object", "kv"):
-        adapter = make_adapter(kind, make_clients())
+        adapter, clients = make_adapter(kind), make_clients()
         for e in workload:
-            drain(adapter.write_entry(e))
+            drain(adapter.write_entry(e), clients)
         views[kind] = {
-            "partitions": drain(adapter.list_partitions(EID)),
-            "AA": drain(adapter.read_partition(EID, "AA")),
-            "BB": drain(adapter.read_partition(EID, "BB")),
+            "partitions": drain(adapter.list_partitions(EID), clients),
+            "AA": drain(adapter.read_partition(EID, "AA"), clients),
+            "BB": drain(adapter.read_partition(EID, "BB"), clients),
         }
     assert views["object"] == views["kv"]
 
 
 def test_kv_read_partition_union_matches_scan():
-    clients = make_clients()
-    adapter = KvShuffleAdapter(clients)
+    kv = KvStore()
+    clients = StorageClients(DEFAULT_CALIBRATION, kv=kv)
+    adapter = KvShuffleAdapter()
     for pk, iid in (("AA", IID), ("BB", IID), ("AA", IID2)):
-        drain(adapter.write_entry(entry(pk=pk, iid=iid)))
+        drain(adapter.write_entry(entry(pk=pk, iid=iid)), clients)
     union = []
-    for pk in drain(adapter.list_partitions(EID)):
-        union.extend(drain(adapter.read_partition(EID, pk)))
-    assert len(union) == len(clients.kv.scan(EID)) == 3
+    for pk in drain(adapter.list_partitions(EID), clients):
+        union.extend(drain(adapter.read_partition(EID, pk), clients))
+    assert len(union) == len(kv.scan(EID)) == 3
 
 
 def test_object_adapter_stores_canonical_json():
-    clients = make_clients()
-    adapter = ObjectShuffleAdapter(clients)
-    drain(adapter.write_entry(entry()))
-    body = clients.objects.get(object_key_for(entry()))
+    objects = ObjectStore()
+    adapter = ObjectShuffleAdapter()
+    drain(adapter.write_entry(entry()), StorageClients(DEFAULT_CALIBRATION, objects=objects))
+    body = objects.get(object_key_for(entry()))
     doc = json.loads(body)
     assert set(doc) == {"execution_id", "partition_key", "instance_id",
                         "delay_sum", "count"}
@@ -110,4 +115,4 @@ def test_object_adapter_stores_canonical_json():
 
 def test_unknown_adapter_kind():
     with pytest.raises(ValueError):
-        make_adapter("redis", make_clients())
+        make_adapter("redis")

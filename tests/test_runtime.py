@@ -17,25 +17,35 @@ from microreduce.calibration import (
 from microreduce.runtime import (
     FunctionConfig,
     FunctionRuntime,
+    Interrupted,
     RuntimeLimits,
     StorageClients,
     load_ledger_csv,
     render_ledger_csv,
 )
 from microreduce.sim import SimError, Simulator
-from microreduce.storage import KvItem, KvStore, MessageQueue, ObjectStore
+from microreduce.storage import (
+    KvItem,
+    KvStore,
+    MessageQueue,
+    ObjectStore,
+    StorageFaultError,
+    ThrottledError,
+    ThrottlePolicy,
+)
 
-from conftest import drain
+
+ZERO_INIT = replace(DEFAULT_CALIBRATION, init_ms_mean=0.0, init_ms_sigma=0.0)
 
 
-def make_runtime(seed=0, limits=None, cal=None, sim=None):
+def make_runtime(seed=0, limits=None, cal=None, sim=None, objects=None, queue=None):
     sim = sim or Simulator()
     clients = StorageClients(
         cal or DEFAULT_CALIBRATION,
-        objects=ObjectStore(),
+        objects=objects if objects is not None else ObjectStore(),
         raw_objects=ObjectStore(),
         kv=KvStore(clock=sim.now),
-        queue=MessageQueue(clock=sim.now),
+        queue=queue if queue is not None else MessageQueue(clock=sim.now),
     )
     return FunctionRuntime(sim, clients, limits=limits or RuntimeLimits(), seed=seed)
 
@@ -317,10 +327,11 @@ class TestInvocation:
 
 
 def test_handler_yielding_an_event_fails_loudly():
-    # a handler yields only latencies; a wait on an event is not one
+    # a handler yields only latencies and known ops; a wait on an event is
+    # neither, and an unknown op name must not become a handler error that the
+    # queue would retry
     sim = Simulator()
-    rt = make_runtime(sim=sim, cal=replace(DEFAULT_CALIBRATION, init_ms_mean=0.0,
-                                           init_ms_sigma=0.0))
+    rt = make_runtime(sim=sim, cal=ZERO_INIT)
     ev = sim.event()
 
     def waits(ctx, payload):
@@ -335,6 +346,16 @@ def test_handler_yielding_an_event_fails_loudly():
     rt.invoke(FunctionConfig("fn", 1024), waits, {})
     with pytest.raises(SimError):
         sim.run()
+    assert rt.ledger == []
+
+    def misspells(ctx, payload):
+        yield ("object_gte", "k")
+        return None
+
+    rt = make_runtime(cal=ZERO_INIT)
+    rt.invoke(FunctionConfig("fn", 1024), misspells, {})
+    with pytest.raises(SimError, match="'fn'.*object_gte"):
+        rt.sim.run()
     assert rt.ledger == []
 
 
@@ -411,9 +432,9 @@ class TestLedgerCsv:
 class TestQueueSourceScaling:
     def run_pool(self, minutes, backlog, cap=1000, handler_ms=1e9):
         sim = Simulator()
+        queue = MessageQueue(clock=sim.now)
         rt = make_runtime(sim=sim, limits=RuntimeLimits(
-            account_concurrency=10_000, queue_scale_cap=cap))
-        queue = rt.clients.queue
+            account_concurrency=10_000, queue_scale_cap=cap), queue=queue)
         for i in range(backlog):
             queue.send('{"execution_id": "e", "n": %d}' % i)
 
@@ -472,64 +493,187 @@ class CountingKvStore(KvStore):
 
 
 def counting_clients():
-    objects, kv = CountingObjectStore(), CountingKvStore()
+    stores = SimpleNamespace(objects=CountingObjectStore(), raw=CountingObjectStore(),
+                             kv=CountingKvStore(), queue=MessageQueue())
     for key, size in (("e/AA/1.json", 5_000), ("e/AA/2.json", 10), ("e/UA/1.json", 10)):
-        objects.put(key, b"x" * size)
+        stores.objects.put(key, b"x" * size)
+    stores.raw.put("part-0000.csv", b"x" * 3_000)
     for sort_key, pk in (("i1#AA", "AA"), ("i2#AA", "AA"), ("i1#UA", "UA")):
-        kv.put_item(KvItem("e", sort_key, pk, {}))
+        stores.kv.put_item(KvItem("e", sort_key, pk, {}))
     for carrier in ("AA", "UA"):
-        kv.put_result("e", carrier, 10, 2)
-    clients = StorageClients(DEFAULT_CALIBRATION, objects=objects, kv=kv)
-    return clients, objects, kv
+        stores.kv.put_result("e", carrier, 10, 2)
+    clients = StorageClients(DEFAULT_CALIBRATION, objects=stores.objects,
+                             raw_objects=stores.raw, kv=stores.kv, queue=stores.queue)
+    return clients, stores
 
 
-READ_FACADES = {
-    "object_get": (lambda c: c.object_get("e/AA/1.json"),
-                   lambda cal, body: cal.object_get_ms(len(body))),
-    "object_list": (lambda c: c.object_list("e/"),
-                    lambda cal, keys: cal.object_list_ms(len(keys))),
-    "kv_query_lsi": (lambda c: c.kv_query_lsi("e", "AA"),
-                     lambda cal, items: cal.kv_query_ms(len(items))),
-    "kv_scan": (lambda c: c.kv_scan("e"),
-                lambda cal, items: cal.kv_query_ms(len(items))),
-    "results_list": (lambda c: c.results_list("e"),
-                     lambda cal, rows: cal.kv_query_ms(len(rows))),
-}
+def one_op(*op):
+    return (yield op)
 
 
-@pytest.mark.parametrize("facade", sorted(READ_FACADES))
-def test_read_facade_queries_once_and_prices_its_result(facade):
-    call, price = READ_FACADES[facade]
-    clients, objects, kv = counting_clients()
-    gen = call(clients)
+def issue(clients, gen):
+    """Drive ``gen`` at virtual time 0 with no deadline; return the latencies
+    the driver yields and what ``gen`` returns."""
+    driver = FunctionRuntime(Simulator(), clients).drive(gen, "fn")
     latencies = []
     try:
         while True:
-            latencies.append(next(gen))
+            latencies.append(next(driver))
     except StopIteration as stop:
-        result = stop.value
+        return latencies, stop.value
+
+
+def snapshot(stores):
+    return (stores.objects.list(), stores.kv.scan("e"), stores.kv.counter_get("e"),
+            stores.kv.list_results("e"), len(stores.queue))
+
+
+AT_ISSUE_OPS = {
+    "object_get": (("e/AA/1.json",), lambda cal, body: cal.object_get_ms(len(body))),
+    "raw_object_get": (("part-0000.csv",), lambda cal, body: cal.object_get_ms(len(body))),
+    "object_list": (("e/",), lambda cal, keys: cal.object_list_ms(len(keys))),
+    "kv_query_lsi": (("e", "AA"), lambda cal, items: cal.kv_query_ms(len(items))),
+    "kv_scan": (("e",), lambda cal, items: cal.kv_query_ms(len(items))),
+    "results_list": (("e",), lambda cal, rows: cal.kv_query_ms(len(rows))),
+}
+
+WRITE_OPS = {
+    "object_put": (("e/BB/1.json", b"x" * 2_048), lambda cal: cal.object_put_ms(2_048)),
+    "object_delete": (("e/AA/2.json",), lambda cal: cal.object_put_ms(0)),
+    "kv_put": ((KvItem("e", "i3#BB", "BB", {}),), lambda cal: cal.kv_put_ms),
+    "kv_delete": (("e", "i1#AA"), lambda cal: cal.kv_put_ms),
+    "counter_add": (("e", "mapped", 5), lambda cal: cal.counter_add_ms),
+    "results_put": (("e", "BB", 3, 1), lambda cal: cal.kv_put_ms),
+    "queue_send": (("body",), lambda cal: cal.queue_send_ms),
+}
+
+
+def test_op_table_applies_reads_that_list_or_fetch_at_issue():
+    clients, _ = counting_clients()
+    at_issue = {name for name, (applied_at_issue, _, _) in clients.ops.items()
+                if applied_at_issue}
+    assert at_issue == set(AT_ISSUE_OPS)
+    assert set(clients.ops) - at_issue == set(WRITE_OPS) | {
+        "counter_get", "queue_receive", "queue_delete"}
+
+
+@pytest.mark.parametrize("op", sorted(AT_ISSUE_OPS))
+def test_read_facade_queries_once_and_prices_its_result(op):
+    args, price = AT_ISSUE_OPS[op]
+    clients, stores = counting_clients()
+    latencies, result = issue(clients, one_op(op, *args))
     assert result
-    assert objects.queries + kv.queries == 1
+    assert stores.objects.queries + stores.raw.queries + stores.kv.queries == 1
     assert latencies == [price(clients.cal, result)]
 
 
+@pytest.mark.parametrize("op", sorted(WRITE_OPS))
+def test_write_op_is_priced_by_its_args_and_lands_after_its_latency(op):
+    args, price = WRITE_OPS[op]
+    clients, stores = counting_clients()
+    before = snapshot(stores)
+    driver = FunctionRuntime(Simulator(), clients).drive(one_op(op, *args), "fn")
+    assert next(driver) == price(clients.cal)
+    assert snapshot(stores) == before  # not landed while the latency runs
+    with pytest.raises(StopIteration):
+        next(driver)
+    assert snapshot(stores) != before
+
+
+def test_reads_priced_by_their_args_see_the_state_at_completion():
+    clients, stores = counting_clients()
+    cal = clients.cal
+    counter = FunctionRuntime(Simulator(), clients).drive(one_op("counter_get", "e"), "fn")
+    assert next(counter) == cal.counter_get_ms
+    stores.kv.counter_add("e", "ingested", 3)
+    with pytest.raises(StopIteration) as stop:
+        next(counter)
+    assert stop.value.value == (3, 0)
+    receive = FunctionRuntime(Simulator(), clients).drive(one_op("queue_receive"), "fn")
+    assert next(receive) == cal.queue_receive_ms
+    stores.queue.send("late")
+    with pytest.raises(StopIteration) as stop:
+        next(receive)
+    assert [msg.body for msg in stop.value.value] == ["late"]
+
+
+@pytest.mark.parametrize("op, price, error", [
+    (("object_put", "e/BB/1.json", b"x"), lambda cal: cal.object_put_ms(1), StorageFaultError),
+    (("kv_put", KvItem("e", "i3#BB", "BB", {})), lambda cal: cal.kv_put_ms, ThrottledError),
+], ids=["object_put", "kv_put"])
+def test_write_op_failure_is_thrown_in_at_its_yield_after_the_latency(op, price, error):
+    objects = ObjectStore(fault_rate=1.0)
+    kv = KvStore(throttle=ThrottlePolicy(0.0, 0.0, enabled=True))
+    clients = StorageClients(DEFAULT_CALIBRATION, objects=objects, kv=kv)
+
+    def handler():
+        try:
+            yield op
+        except error as exc:
+            return exc
+
+    latencies, result = issue(clients, handler())
+    assert latencies == [price(DEFAULT_CALIBRATION)]
+    assert isinstance(result, error)
+    assert objects.list() == [] and kv.scan("e") == []
+
+
 def test_object_get_missing_key_raises_before_yield():
-    clients, _, _ = counting_clients()
-    with pytest.raises(KeyError):
-        next(clients.object_get("e/AA/missing.json"))
+    clients, _ = counting_clients()
+
+    def handler():
+        try:
+            yield ("object_get", "e/AA/missing.json")
+        except KeyError:
+            return "missing"
+
+    assert issue(clients, handler()) == ([], "missing")
 
 
 def test_empty_explicit_store_is_not_swapped_for_the_shuffle_store():
-    # an empty ObjectStore is falsy (it has __len__); the facades must still
-    # use the store they are given
+    # an empty ObjectStore is falsy (it has __len__); the op table must still
+    # bind the store it is given
     shuffle, raw = ObjectStore(), ObjectStore()
     shuffle.put("part-0000.csv", b"shuffle body")
     clients = StorageClients(DEFAULT_CALIBRATION, objects=shuffle, raw_objects=raw)
     with pytest.raises(KeyError):
-        next(clients.raw_object_get("part-0000.csv"))
-    drain(clients.object_put("part-0001.csv", b"raw body", store=raw))
-    assert raw.list() == ["part-0001.csv"]
-    assert shuffle.list() == ["part-0000.csv"]
+        issue(clients, one_op("raw_object_get", "part-0000.csv"))
+    issue(clients, one_op("object_put", "part-0001.csv", b"body"))
+    assert raw.list() == []
+    assert shuffle.list() == ["part-0000.csv", "part-0001.csv"]
+
+
+@pytest.mark.parametrize("timeout_ms", [1, 2], ids=["crosses", "reaches"])
+def test_write_op_whose_latency_reaches_the_deadline_never_lands(timeout_ms):
+    # an empty put costs object_put_base_ms = 2 ms
+    assert ZERO_INIT.object_put_ms(0) == 2.0
+    objects = ObjectStore()
+    rt = make_runtime(cal=ZERO_INIT, objects=objects)
+
+    def handler(ctx, payload):
+        yield ("object_put", "k", b"")
+
+    record = rt.run_single(FunctionConfig("fn", 1024, timeout_ms=timeout_ms), handler, {})
+    rt.sim.run()
+    assert (record.outcome, record.duration_ms) == ("timeout", float(timeout_ms))
+    assert objects.list() == []
+
+
+def test_write_op_issued_in_cleanup_after_the_timeout_lands_uncut():
+    objects = ObjectStore()
+    rt = make_runtime(cal=ZERO_INIT, objects=objects)
+
+    def handler(ctx, payload):
+        try:
+            yield 10_000.0
+        except Interrupted:
+            yield ("object_put", "tombstone", b"x" * 4_096)
+            raise
+
+    record = rt.run_single(FunctionConfig("fn", 1024, timeout_ms=500), handler, {})
+    assert (record.outcome, record.duration_ms) == ("timeout", 500.0)
+    assert objects.list() == ["tombstone"]
+    assert rt.sim.now() == 500.0 + ZERO_INIT.object_put_ms(4_096)
 
 
 class CountingQueue(MessageQueue):
