@@ -4,30 +4,60 @@ Both adapters expose the same three operations (write an entry, read a
 partition, list partitions) and are observationally equivalent when the
 backend is fault-free; which one a job uses is pure configuration.  Each
 operation is a generator that yields storage ops for ``FunctionRuntime.drive``
-to apply; an adapter holds no store.
+to apply; an adapter holds no store.  Entries cross the store as frozen
+``ShuffleEntry`` values, never as bytes: an entry's ``len`` is the byte size
+of its canonical JSON, which prices it, and ``bytes`` renders that JSON only
+when the store is dumped.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .storage import KvItem
+
+# Canonical JSON (sorted keys, default separators) less its five values.
+_DOC_FIXED_LEN = len('{"count": , "delay_sum": , "execution_id": , '
+                     '"instance_id": , "partition_key": }')
+
+
+def _json_len(s: str) -> int:
+    """Length of ``json.dumps(s)``; printable ASCII other than ``"`` and
+    ``\\`` is not escaped, so only other strings are rendered."""
+    if s.isascii() and s.isprintable() and '"' not in s and "\\" not in s:
+        return len(s) + 2
+    return len(json.dumps(s))
 
 
 @dataclass(frozen=True, slots=True)
 class ShuffleEntry:
-    """Per-partition-key output of one map invocation."""
+    """Per-partition-key output of one map invocation.
+
+    ``len(entry)`` is the byte length of ``bytes(entry)``, its canonical
+    JSON, worked out once at construction.
+    """
 
     execution_id: str
     partition_key: str
     instance_id: str
     delay_sum: int
     count: int
+    _size: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.count < 1:
             raise ValueError("entry count must be >= 1")
+        object.__setattr__(self, "_size", _DOC_FIXED_LEN
+                           + _json_len(self.execution_id) + _json_len(self.partition_key)
+                           + _json_len(self.instance_id)
+                           + len(str(self.delay_sum)) + len(str(self.count)))
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __bytes__(self) -> bytes:
+        return json.dumps(self.to_doc(), sort_keys=True).encode("utf-8")
 
     def to_doc(self) -> dict:
         return {
@@ -38,34 +68,23 @@ class ShuffleEntry:
             "count": self.count,
         }
 
-    @staticmethod
-    def from_doc(doc: dict) -> "ShuffleEntry":
-        return ShuffleEntry(
-            execution_id=doc["execution_id"],
-            partition_key=doc["partition_key"],
-            instance_id=doc["instance_id"],
-            delay_sum=doc["delay_sum"],
-            count=doc["count"],
-        )
-
 
 def object_key_for(entry: ShuffleEntry) -> str:
     return f"{entry.execution_id}/{entry.partition_key}/{entry.instance_id}.json"
 
 
 class ObjectShuffleAdapter:
-    """Entries as JSON objects under ``{execution}/{partition}/{instance}.json``."""
+    """Entries as objects under ``{execution}/{partition}/{instance}.json``;
+    each object is the entry itself."""
 
     def write_entry(self, entry: ShuffleEntry):
-        body = json.dumps(entry.to_doc(), sort_keys=True).encode("utf-8")
-        yield ("object_put", object_key_for(entry), body)
+        yield ("object_put", object_key_for(entry), entry)
 
     def read_partition(self, execution_id: str, partition_key: str):
         keys = yield ("object_list", f"{execution_id}/{partition_key}/")
         entries = []
         for key in keys:
-            body = yield ("object_get", key)
-            entries.append(ShuffleEntry.from_doc(json.loads(body)))
+            entries.append((yield ("object_get", key)))
         return entries
 
     def list_partitions(self, execution_id: str):
@@ -80,8 +99,9 @@ class ObjectShuffleAdapter:
 
 
 class KvShuffleAdapter:
-    """Entries as table items: hash key = execution id, a local secondary
-    index keyed by partition serves per-partition queries.
+    """Entries as table items whose payload is the entry: hash key =
+    execution id, a local secondary index keyed by partition serves
+    per-partition queries.
 
     One invocation emits one item per partition key, so the physical sort
     key is ``{instance_id}#{partition_key}`` to keep primary keys unique.
@@ -92,13 +112,13 @@ class KvShuffleAdapter:
             hash_key=entry.execution_id,
             sort_key=f"{entry.instance_id}#{entry.partition_key}",
             lsi_sort_key=entry.partition_key,
-            payload=entry.to_doc(),
+            payload=entry,
         )
         yield ("kv_put", item)
 
     def read_partition(self, execution_id: str, partition_key: str):
         items = yield ("kv_query_lsi", execution_id, partition_key)
-        return [ShuffleEntry.from_doc(item.payload) for item in items]
+        return [item.payload for item in items]
 
     def list_partitions(self, execution_id: str):
         items = yield ("kv_scan", execution_id)

@@ -15,8 +15,10 @@ lands.  The driver passes one latency per yield on to the scheduler and
 enforces the hard timeout itself: the first latency that would reach the
 deadline becomes a wait to the deadline, where ``Interrupted`` is thrown into
 the handler.  Any other yield, or an unknown op, raises ``SimError`` out of
-the run.  The workflow's partition listing and gate, and the queue
-consumers' receives and deletes, go through the same driver.
+the run.  The workflow's partition listing and gate go through the same
+driver.  The queue consumers take their receive and delete from the same
+table and apply them as the driver does with no deadline.  An error record
+keeps its exception chain without tracebacks.
 """
 
 from __future__ import annotations
@@ -146,6 +148,20 @@ def load_ledger_csv(path: Path | str) -> list[InvocationRecord]:
             )
         )
     return out
+
+
+def _without_tracebacks(exc: BaseException) -> BaseException:
+    """Clear the tracebacks along ``exc``'s cause and context chain, so an
+    error record keeps the exceptions but not the frames they were raised in."""
+    pending, seen = [exc], set()
+    while pending:
+        e = pending.pop()
+        if e is None or id(e) in seen:
+            continue
+        seen.add(id(e))
+        e.__traceback__ = None
+        pending += (e.__cause__, e.__context__)
+    return exc
 
 
 class StorageClients:
@@ -346,7 +362,7 @@ class FunctionRuntime:
         except SimError:
             raise
         except Exception as exc:
-            status, error = "error", exc
+            status, error = "error", _without_tracebacks(exc)
 
         duration = float(fn.timeout_ms) if status == "timeout" else self.sim.now() - start
         record = InvocationRecord(
@@ -506,26 +522,24 @@ class QueueSource:
                 self._grow(min(limits.queue_scale_per_min, room))
 
     def _consumer(self):
+        # Receive and delete are the table's ops, applied as ``drive`` applies
+        # them with no deadline: the latency first, then the store call.
         runtime = self.runtime
-        name = f"consumer-{self.fn.name}"
+        ops = runtime.clients.ops
+        _, receive, receive_ms = ops["queue_receive"]
+        _, delete, delete_ms = ops["queue_delete"]
         while not self._stopped:
-            messages = yield from runtime.drive(_receive(), name)
+            yield receive_ms()
+            messages = receive()
             if not messages:
                 messages = yield _IdleConsumer(self, runtime.sim.now()).delivered
             for msg in messages:
                 record = yield from runtime.invocation(
                     self.fn, self.handler, msg.body, getattr(msg.body, "execution_id", ""))
                 if record.outcome == "ok":
-                    yield from runtime.drive(_delete(msg.receipt), name)
+                    yield delete_ms(msg.receipt)
+                    delete(msg.receipt)
                 # otherwise leave it; visibility expiry redelivers or retires
-
-
-def _receive():
-    return (yield ("queue_receive",))
-
-
-def _delete(receipt: int):
-    return (yield ("queue_delete", receipt))
 
 
 class _IdleConsumer:

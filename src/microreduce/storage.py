@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 from random import Random
@@ -70,29 +71,54 @@ class TokenBucket:
 
 
 class ObjectStore:
-    """Prefix-addressed blob store; last writer wins, listing is sorted."""
+    """Prefix-addressed store of values; last writer wins, listing is sorted.
+
+    A body is kept as given, unless it is a mutable ``bytearray`` or
+    ``memoryview``, which is copied to ``bytes``.  Its ``len`` is its size in
+    bytes, which prices it, and ``bytes(body)`` renders it only when the store
+    is dumped; so a ``ShuffleEntry`` is stored as itself.  Listing bisects a
+    sorted key list, rebuilt on the first listing after a new key or a delete.
+    """
 
     def __init__(self, fault_rate: float = 0.0, fault_seed: int = 0):
-        self._objects: dict[str, bytes] = {}
+        self._objects: dict[str, Any] = {}
+        self._sorted_keys: Optional[list[str]] = []  # None when stale
         self.fault_rate = fault_rate
         self._fault_rng = Random(fault_seed)
 
-    def put(self, key: str, body: bytes) -> None:
+    def put(self, key: str, body: Any) -> None:
         if self.fault_rate > 0.0 and self._fault_rng.random() < self.fault_rate:
             raise StorageFaultError(f"injected fault on put {key!r}")
-        self._objects[key] = bytes(body)
+        if isinstance(body, (bytearray, memoryview)):
+            body = bytes(body)
+        objects = self._objects
+        if key not in objects:
+            self._sorted_keys = None
+        objects[key] = body
 
-    def get(self, key: str) -> bytes:
+    def get(self, key: str) -> Any:
         try:
             return self._objects[key]
         except KeyError:
             raise KeyError(f"no such object {key!r}") from None
 
     def delete(self, key: str) -> None:
-        self._objects.pop(key, None)
+        objects = self._objects
+        if key in objects:
+            del objects[key]
+            self._sorted_keys = None
 
     def list(self, prefix: str = "") -> list[str]:
-        return sorted(k for k in self._objects if k.startswith(prefix))
+        keys = self._sorted_keys
+        if keys is None:
+            keys = self._sorted_keys = sorted(self._objects)
+        # The keys that start with ``prefix`` are one run that begins where
+        # ``prefix`` itself would sort; a key's first ``len(prefix)``
+        # characters sort like the key, so the run ends at the first key
+        # whose cut sorts after ``prefix``.
+        start = bisect_left(keys, prefix)
+        n = len(prefix)
+        return keys[start:bisect_right(keys, prefix, start, key=lambda k: k[:n])]
 
     def size(self, key: str) -> int:
         return len(self.get(key))
@@ -101,12 +127,13 @@ class ObjectStore:
         return len(self._objects)
 
     def dump_to_dir(self, root: Path | str) -> None:
-        """Mirror stored keys as files under ``root`` for inspection."""
+        """Mirror stored keys as files under ``root``, each holding
+        ``bytes(body)``, for inspection."""
         root = Path(root)
         for key, body in self._objects.items():
             path = root / key
             path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_bytes(body)
+            path.write_bytes(bytes(body))
 
 
 # -- key-value store -------------------------------------------------------
@@ -124,7 +151,7 @@ class KvItem:
     hash_key: str
     sort_key: str
     lsi_sort_key: str
-    payload: dict
+    payload: Any
 
 
 @dataclass(slots=True)

@@ -6,6 +6,7 @@ from click.testing import CliRunner
 
 from microreduce import cli
 from microreduce.cli import main
+from microreduce.ports import ShuffleEntry, object_key_for
 from microreduce.scenarios import preset
 from microreduce.sim import ClockStalled
 from microreduce.storage import ObjectStore
@@ -146,6 +147,27 @@ class TestRun:
             raw.put(path.name, path.read_bytes())
         lib_result = run_job(preset(2, seed=5).replace(files=1), raw)
         assert lib_result.ranking_doc == cli_ranking
+
+    def test_dump_shuffle_writes_canonical_json_per_entry(self, runner, tmp_path):
+        data = generate_cli_data(runner, tmp_path)
+        out = tmp_path / "runs"
+        result = runner.invoke(main, ["run", "--scenario", "1", "--data", str(data),
+                                      "--out", str(out), "--files", "1",
+                                      "--shuffle", "object", "--dump-shuffle"])
+        assert result.exit_code == 0, result.output
+        run_dir = run_dir_of(out)
+        entries_dir = run_dir / "shuffle" / run_dir.name
+        mapped = 0
+        paths = sorted(entries_dir.rglob("*.json"))
+        assert paths
+        for path in paths:
+            doc = json.loads(path.read_bytes())
+            entry = ShuffleEntry(**doc)
+            assert path.read_bytes() == json.dumps(entry.to_doc(), sort_keys=True).encode()
+            assert path.relative_to(run_dir / "shuffle").as_posix() == object_key_for(entry)
+            mapped += entry.count
+        counters = json.loads((run_dir / "counters.json").read_text())
+        assert mapped == counters["mapped"]
 
     def test_missing_files_fail(self, runner, tmp_path):
         data = generate_cli_data(runner, tmp_path)

@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from microreduce.calibration import DEFAULT_CALIBRATION
 from microreduce.ports import (
@@ -28,6 +30,20 @@ def test_entry_doc_field_names_are_frozen():
     doc = entry().to_doc()
     assert list(doc) == ["execution_id", "partition_key", "instance_id",
                          "delay_sum", "count"]
+
+
+_TEXT = st.text(st.characters() | st.sampled_from('"\\\x00\x1f\x7f\u2028Ü'), max_size=8)
+
+
+@given(st.builds(ShuffleEntry, _TEXT, _TEXT | st.just("Ü1"), _TEXT, st.integers(),
+                 st.integers(min_value=1)))
+@example(ShuffleEntry("e\x00", "Ü1", 'i"\\', -10**30, 10**30))
+@example(ShuffleEntry("\x7f", "\u2028", "\x1f", -1, 1))
+@settings(max_examples=500)
+def test_entry_len_is_its_canonical_json_length(e):
+    canonical = json.dumps(e.to_doc(), sort_keys=True).encode()
+    assert bytes(e) == canonical
+    assert len(e) == len(canonical)
 
 
 def test_object_key_layout():
@@ -108,7 +124,7 @@ def test_object_adapter_stores_canonical_json():
     adapter = ObjectShuffleAdapter()
     drain(adapter.write_entry(entry()), StorageClients(DEFAULT_CALIBRATION, objects=objects))
     body = objects.get(object_key_for(entry()))
-    doc = json.loads(body)
+    doc = json.loads(bytes(body))
     assert set(doc) == {"execution_id", "partition_key", "instance_id",
                         "delay_sum", "count"}
 

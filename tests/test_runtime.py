@@ -235,6 +235,29 @@ class TestInvocation:
         assert "boom" in repr(record.exception)
         assert isinstance(record.exception, RuntimeError)
 
+    def test_error_record_drops_tracebacks_along_a_cyclic_chain(self):
+        rt = make_runtime()
+        fn = FunctionConfig("fn", 1024)
+        inner = ValueError("inner")
+
+        def broken(ctx, payload):
+            yield 1.0
+            try:
+                try:
+                    raise inner
+                except ValueError as exc:
+                    raise RuntimeError("outer") from exc
+            except RuntimeError as outer:
+                inner.__context__ = outer  # a cycle a raise itself would cut
+                raise
+
+        record = rt.run_single(fn, broken, {})
+        assert record.outcome == "error"
+        assert record.exception.__cause__ is inner
+        assert inner.__context__ is record.exception
+        assert record.exception.__traceback__ is None
+        assert inner.__traceback__ is None
+
     @pytest.mark.parametrize("handler, outcome, duration, resumed_at", [
         pytest.param(latency_handler(100_000.0), "timeout", 500.0, 500.0,
                      id="latency-past-deadline"),

@@ -57,6 +57,37 @@ class TestObjectStore:
         store.dump_to_dir(tmp_path)
         assert (tmp_path / "run" / "AA" / "x.json").read_bytes() == b"{}"
 
+    def test_put_keeps_values_and_copies_mutable_buffers(self):
+        store, value = ObjectStore(), (b"a", b"b")
+        store.put("value", value)
+        assert store.get("value") is value
+        for buffer in (bytearray(b"ab"), memoryview(bytearray(b"ab"))):
+            store.put("buffer", buffer)
+            buffer[0] = ord("z")
+            assert store.get("buffer") == b"ab"
+            assert type(store.get("buffer")) is bytes
+
+
+_LIST_KEYS = st.text(alphabet=st.sampled_from("ab/\x00\u00dc\uffff\U0010ffff"), max_size=4)
+
+
+@given(st.lists(st.tuples(st.sampled_from(["put", "delete", "list"]), _LIST_KEYS),
+                max_size=60))
+@settings(max_examples=500)
+def test_object_list_equals_a_sorted_scan(ops):
+    store, keys = ObjectStore(), set()
+    for op, key in ops:
+        if op == "put":
+            store.put(key, b"x")
+            keys.add(key)
+        elif op == "delete":
+            store.delete(key)
+            keys.discard(key)
+        else:
+            assert store.list(key) == sorted(k for k in keys if k.startswith(key))
+    for prefix in ("", "\u00dc", "\U0010ffff", "a\U0010ffff"):
+        assert store.list(prefix) == sorted(k for k in keys if k.startswith(prefix))
+
 
 class TestTokenBucket:
     def test_burst_arithmetic(self):

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import re
 import signal
 
 import pytest
@@ -11,7 +12,8 @@ from microreduce.data import GenSpec, generate_dataset, reference_kv_workload_sp
 from microreduce.runtime import render_ledger_csv
 from microreduce.scenarios import ScenarioConfig, preset
 from microreduce.sim import ClockStalled
-from microreduce.storage import ObjectStore, ThrottlePolicy
+from microreduce.pipeline import MapWriteError
+from microreduce.storage import ObjectStore, ThrottledError, ThrottlePolicy
 from microreduce.workflow import (
     IncompleteTraceError,
     phase_breakdown,
@@ -244,6 +246,26 @@ class TestPhaseBreakdown:
                          raw)
         with pytest.raises(IncompleteTraceError):
             phase_breakdown(result.trace)
+
+
+def test_throttled_error_records_hold_no_tracebacks():
+    raw, _ = small_dataset()
+    result = run_job(scenario(shuffle_system="kv", override_gate=True,
+                              throttle=ThrottlePolicy(2.0, 10.0, enabled=True)), raw)
+    errors = [r for r in result.records if r.outcome == "error"]
+    assert errors
+    for record in errors:
+        chain, exc = [], record.exception
+        while exc is not None:
+            chain.append(exc)
+            exc = exc.__cause__ or exc.__context__
+        assert [type(e) for e in chain] == [MapWriteError, ThrottledError]
+        assert all(e.__traceback__ is None for e in chain)
+        reason = str(workflow._task_failed("map failed", record))
+        eid, iid = record.execution_id, record.instance_id
+        assert re.fullmatch(
+            rf"map failed: MapWriteError\('shuffle write failed twice for (\w+): "
+            rf"write capacity exceeded for {eid}/{iid}#\1'\)", reason), reason
 
 
 # SHA-256 of the ranking document, trace.csv, ledger.csv and the DLQ bodies
