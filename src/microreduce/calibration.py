@@ -136,12 +136,6 @@ class CalibrationTable:
 
     # -- serialization ---------------------------------------------------
 
-    def save(self, path: Path | str) -> None:
-        lines = [
-            f"{f.name}={getattr(self, f.name)!r}" for f in dataclasses.fields(self)
-        ]
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
     @staticmethod
     def load(path: Path | str, base: "CalibrationTable | None" = None) -> "CalibrationTable":
         values: dict[str, float] = {}

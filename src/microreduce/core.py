@@ -9,21 +9,16 @@ from __future__ import annotations
 import uuid
 from dataclasses import dataclass
 from random import Random
-from typing import Iterable, Optional
+from typing import Iterable
 
 
 class DegenerateAggregateError(ValueError):
     """An aggregate with no underlying rows has no defined performance."""
 
 
-def new_execution_id(rng: Optional[Random] = None) -> str:
-    """Return a fresh v4-style UUID string.
-
-    With ``rng`` the sequence is reproducible; without it a process-unique
-    UUID is generated.
-    """
-    if rng is None:
-        return str(uuid.uuid4())
+def new_execution_id(rng: Random) -> str:
+    """Return a v4-style UUID string drawn from ``rng``, so a seeded
+    sequence of ids is reproducible."""
     return str(uuid.UUID(int=rng.getrandbits(128), version=4))
 
 

@@ -394,15 +394,6 @@ class GenLedger:
         doc["total"] = self.total
         return json.dumps(doc, indent=2, sort_keys=False)
 
-    @staticmethod
-    def from_json(text: str) -> "GenLedger":
-        doc = json.loads(text)
-        ledger = GenLedger()
-        ledger.invalid = doc.pop("invalid")
-        ledger.total = doc.pop("total")
-        ledger.carriers = {code: (v["delay_sum"], v["count"]) for code, v in doc.items()}
-        return ledger
-
 
 def _apportion(total: int, weights: Sequence[float]) -> list[int]:
     """Largest-remainder split of ``total`` rows by weight."""

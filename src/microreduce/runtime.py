@@ -16,9 +16,10 @@ enforces the hard timeout itself: the first latency that would reach the
 deadline becomes a wait to the deadline, where ``Interrupted`` is thrown into
 the handler.  Any other yield, or an unknown op, raises ``SimError`` out of
 the run.  The workflow's partition listing and gate go through the same
-driver.  The queue consumers take their receive and delete from the same
-table and apply them as the driver does with no deadline.  An error record
-keeps its exception chain without tracebacks.
+driver.  The queue consumers take every receive and delete from the same
+table, an idle consumer's receive at its wake included, and apply them as
+the driver does with no deadline.  An error record keeps its exception
+chain without tracebacks.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from typing import Any, Callable, Optional
 
 from .calibration import MAX_MEMORY_MB, MIN_MEMORY_MB, CalibrationTable, vcpus
 from .core import new_execution_id
-from .sim import ClockStalled, Event, Process, SimError, Simulator
+from .sim import ClockStalled, Event, SimError, Simulator
 from .storage import KvStore, MessageQueue, ObjectStore
 
 LEDGER_COLUMNS = (
@@ -285,7 +286,6 @@ class FunctionRuntime:
         self._id_rng = Random(("runtime-ids", seed).__repr__())
         self._active = 0
         self._admission_waiters: deque[Event] = deque()
-        self.max_active_seen = 0
 
     # -- cold-start bookkeeping -------------------------------------------
 
@@ -314,17 +314,6 @@ class FunctionRuntime:
 
     # -- invocation ---------------------------------------------------------
 
-    def invoke(
-        self,
-        fn: FunctionConfig,
-        handler: Handler,
-        payload: Any,
-        execution_id: str = "",
-    ) -> Process:
-        """Spawn one invocation; the process result is its InvocationRecord."""
-        return self.sim.spawn(self.invocation(fn, handler, payload, execution_id),
-                              name=f"invoke-{fn.name}")
-
     def invocation(
         self,
         fn: FunctionConfig,
@@ -344,7 +333,6 @@ class FunctionRuntime:
             yield gate  # slot handed over by a finishing invocation
         else:
             self._active += 1
-        self.max_active_seen = max(self.max_active_seen, self._active)
 
         instance_id = new_execution_id(self._id_rng)
         cold, init_ms = self._acquire_instance(fn)
@@ -444,23 +432,6 @@ class FunctionRuntime:
                 step, arg = throw, Interrupted(f"{name} timed out")
                 interrupted = True
 
-    def run_single(
-        self, fn: FunctionConfig, handler: Handler, payload: Any, execution_id: str = ""
-    ) -> InvocationRecord:
-        """Convenience wrapper: run one invocation to completion."""
-        proc = self.invoke(fn, handler, payload, execution_id)
-        self.sim.run(until=proc.finished)
-        return proc.result
-
-    # -- queue event source --------------------------------------------------
-
-    def attach_queue_source(
-        self, fn: FunctionConfig, queue: MessageQueue, handler: Handler
-    ) -> "QueueSource":
-        source = QueueSource(self, fn, queue, handler)
-        source.start()
-        return source
-
 
 class QueueSource:
     """Polling consumer pool for one function, scaled per virtual minute.
@@ -490,12 +461,14 @@ class QueueSource:
         self._awaiting_send: dict[_IdleConsumer, None] = {}  # in order of sleep
 
     def start(self) -> None:
-        self.queue.add_send_listener(self._on_send)
+        self.queue.on_send = self._on_send
         self._grow(1)
         self.runtime.sim.spawn(self._manager(), name="queue-scaler")
 
     def stop(self) -> None:
+        # clearing the callback breaks the cycle queue -> source -> runtime -> queue
         self._stopped = True
+        self.queue.on_send = None
 
     def _on_send(self) -> None:
         waiting, self._awaiting_send = self._awaiting_send, {}
@@ -597,9 +570,11 @@ class _IdleConsumer:
             self._schedule(tick)
 
     def _wake(self) -> None:
+        # The receive is the table's op; its latency is already in the tick.
         self.handle = self.wake_at = None
         source = self.source
-        messages = [] if source._stopped else source.queue.receive()
+        receive = source.runtime.clients.ops["queue_receive"][1]
+        messages = [] if source._stopped else receive()
         if messages or source._stopped:
             source._awaiting_send.pop(self, None)
             self.delivered.trigger(messages)

@@ -177,13 +177,11 @@ class KvStore:
         self._results: dict[str, dict[str, tuple[int, int]]] = {}
         self.counter_history: list[CounterWrite] = []
         self.bucket = TokenBucket(throttle or ThrottlePolicy(), clock)
-        self.throttled_writes = 0
 
     # shuffle table
 
     def put_item(self, item: KvItem) -> None:
         if not self.bucket.try_acquire():
-            self.throttled_writes += 1
             raise ThrottledError(
                 f"write capacity exceeded for {item.hash_key}/{item.sort_key}"
             )
@@ -265,7 +263,8 @@ class MessageQueue:
     cannot double-delete.  Visible ids sit in a heap and visibility
     deadlines in another, so each operation costs O(log n) in the queue's
     size; a deleted message's deadline leaves the heap once it reaches the
-    top.
+    top.  ``on_send``, when set, is called right after each ``send`` has
+    enqueued its message; a queue source sets it while it runs.
     """
 
     def __init__(
@@ -283,22 +282,15 @@ class MessageQueue:
         self._ids = itertools.count(1)
         self._receipts = itertools.count(1)
         self._receipt_to_id: dict[int, int] = {}  # receipts of messages in flight
-        self._send_listeners: list[Callable[[], None]] = []
+        self.on_send: Optional[Callable[[], None]] = None
         self.dlq_bodies: list[str] = []
-        self.sent_count = 0
-        self.deleted_count = 0
 
     def send(self, body: Any) -> None:
         mid = next(self._ids)
         self._entries[mid] = _QueueEntry(body=body)
         heapq.heappush(self._visible, mid)
-        self.sent_count += 1
-        for fn in self._send_listeners:
-            fn()
-
-    def add_send_listener(self, fn: Callable[[], None]) -> None:
-        """Call ``fn`` right after every ``send`` has enqueued its message."""
-        self._send_listeners.append(fn)
+        if self.on_send is not None:
+            self.on_send()
 
     def next_deadline(self) -> Optional[float]:
         """The earliest visibility deadline of a message in flight, or None."""
@@ -364,7 +356,6 @@ class MessageQueue:
         if mid is None or now >= self._entries[mid].visible_at:
             return False
         del self._entries[mid]
-        self.deleted_count += 1
         self._drop_deleted_deadlines()
         return True
 

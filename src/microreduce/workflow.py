@@ -34,6 +34,7 @@ from .runtime import (
     FunctionConfig,
     FunctionRuntime,
     InvocationRecord,
+    QueueSource,
     StorageClients,
 )
 from .scenarios import ScenarioConfig
@@ -363,8 +364,8 @@ def run_job(
         raise ValueError("no input files")
 
     job = JobResult(scenario, raw_store, file_keys, cal)
-    source = job.runtime.attach_queue_source(job.fn_map, job.queue,
-                                             partial(map_handler, job.env))
+    source = QueueSource(job.runtime, job.fn_map, job.queue, partial(map_handler, job.env))
+    source.start()
     orchestrator = job.sim.spawn(_orchestrate(job), name="workflow")
     job.sim.run(until=orchestrator.finished)
     source.stop()

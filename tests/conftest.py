@@ -53,6 +53,29 @@ def drain(gen, clients):
                 step, arg = gen.throw, exc
 
 
+def invoke(runtime, fn, handler, payload, execution_id=""):
+    """Spawn one invocation on ``runtime``'s simulator; the process's result
+    is its ``InvocationRecord`` once the simulator has run it."""
+    return runtime.sim.spawn(runtime.invocation(fn, handler, payload, execution_id),
+                             name=f"invoke-{fn.name}")
+
+
+def peak_concurrency(ledger):
+    """The most invocations in the ledger that held a slot at one instant.
+
+    An invocation holds its slot from admission, before its cold start, to
+    its end: ``[start_ms - init_ms, start_ms + duration_ms)``.  A slot handed
+    over at an instant is released there before it is taken again.
+    """
+    edges = sorted([(r.start_ms - r.init_ms, 1) for r in ledger]
+                   + [(r.start_ms + r.duration_ms, -1) for r in ledger])
+    peak = held = 0
+    for _, step in edges:
+        held += step
+        peak = max(peak, held)
+    return peak
+
+
 class FakeClock:
     def __init__(self, start: float = 0.0):
         self.now = start

@@ -29,6 +29,7 @@ from microreduce.runtime import (
     FunctionConfig,
     FunctionRuntime,
     InvocationRecord,
+    QueueSource,
     RuntimeLimits,
     StorageClients,
 )
@@ -36,6 +37,8 @@ from microreduce.scenarios import ScenarioConfig, preset
 from microreduce.sim import Simulator
 from microreduce.storage import KvStore, MessageQueue, ObjectStore
 from microreduce.workflow import phase_breakdown, phase_breakdown_from_durations, run_job
+
+from conftest import invoke
 
 EID = "aaaaaaaa-0000-4000-8000-000000000000"
 
@@ -74,7 +77,7 @@ def run_anchor_ingest(raw: ObjectStore, memory_mb: int, workers: int) -> Invocat
     env = PipelineEnv(port=make_adapter("object"))
     fn = FunctionConfig("ingest", memory_mb, workers=workers)
     event = IngestEvent(EID, "raw", "part-0000.csv")
-    proc = runtime.invoke(fn, partial(ingest_handler, env), event, EID)
+    proc = invoke(runtime, fn, partial(ingest_handler, env), event, EID)
     sim.run(until=proc.finished)
     record = proc.result
     assert record.outcome == "ok"
@@ -204,8 +207,7 @@ def test_c04_microbatch_shuffle_arithmetic():
     env = PipelineEnv(port=make_adapter("object"))
     batch = Batch(EID, 0, "f", ["A"] * 30 + ["B"] * 30 + ["C"] * 30 + ["D"] * 10,
                   [1] * 30 + [2] * 30 + [3] * 30 + [4] * 10)
-    proc = runtime.invoke(FunctionConfig("map", 128), partial(map_handler, env),
-                          batch, EID)
+    proc = invoke(runtime, FunctionConfig("map", 128), partial(map_handler, env), batch, EID)
     sim.run(until=proc.finished)
     assert proc.result.result == {"entries_written": 4}
     assert len(objects.list(f"{EID}/")) == 4
@@ -481,8 +483,8 @@ def test_c10_queue_scaling_law():
             yield 1e12
             return None
 
-        source = runtime.attach_queue_source(FunctionConfig("map", 1024),
-                                             queue, never_finishes)
+        source = QueueSource(runtime, FunctionConfig("map", 1024), queue, never_finishes)
+        source.start()
         sim.run(max_time=minutes * 60_000.0 + 1.0)
         source.stop()
         return source.pool_history

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from microreduce.data import (
     CSV_HEADER,
     CarrierProfile,
-    GenLedger,
     GenSpec,
     MissingColumnError,
     _CHUNK_ROWS,
@@ -514,9 +513,10 @@ class TestGenerator:
 
     def test_ledger_round_trip(self):
         ledger = generate_dataset(small_spec(), ObjectStore())
-        loaded = GenLedger.from_json(ledger.to_json())
-        assert loaded.carriers == ledger.carriers
-        assert (loaded.invalid, loaded.total) == (ledger.invalid, ledger.total)
+        doc = json.loads(ledger.to_json())
+        assert (doc.pop("invalid"), doc.pop("total")) == (ledger.invalid, ledger.total)
+        assert {code: (v["delay_sum"], v["count"]) for code, v in doc.items()} == (
+            ledger.carriers)
 
     def test_ledger_json_shape(self):
         ledger = generate_dataset(small_spec(files=1, rows_per_file=50,

@@ -1,5 +1,8 @@
 """No module of the package, its tools or its tests imports a name it never reads.
 
+Every public function, method and class of the package is named by the
+package, its benchmark or its tools, so no entry point lives for tests alone.
+
 The package also imports no thread, process or event-loop module: its
 stores hold no locks because every call comes from one thread.  Its engine
 (scheduler, stores, runtime, kernels) imports no serialization module: values
@@ -9,6 +12,7 @@ the runtime's op table, and the modules that hold them name no store.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -30,6 +34,9 @@ SERIALIZATION_MODULES = frozenset({"json", "pickle", "marshal"})
 # Handlers and adapters hold no store: what they touch, they name in an op.
 OP_ISSUING_MODULES = ("pipeline.py", "ports.py")
 STORE_NAMES = frozenset({"StorageClients", "ObjectStore", "KvStore", "MessageQueue"})
+# Code that counts as a use of the package's public names: not the tests.
+USING_MODULES = sorted((ROOT / "src").rglob("*.py")) + sorted(
+    ROOT.glob("perfbench/*.py")) + sorted(ROOT.glob("tools/*.py"))
 
 
 def _module_id(path: Path) -> str:
@@ -148,3 +155,69 @@ def test_every_yielded_op_is_in_the_op_table():
 def test_op_issuing_module_names_no_store(name):
     source = (PACKAGE / name).read_text(encoding="utf-8")
     assert names_in(source, STORE_NAMES) == []
+
+
+def public_definitions(tree: ast.Module) -> list[ast.AST]:
+    """The public functions, methods and classes ``tree`` defines at module or
+    class level, except the commands registered with ``@main.command``."""
+    found, pending = [], list(tree.body)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, ast.ClassDef):
+            pending.extend(node.body)
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) or any(
+                isinstance(d, ast.Call) and ast.unparse(d.func) == "main.command"
+                for d in node.decorator_list):
+            continue
+        if not node.name.startswith("_"):
+            found.append(node)
+    return found
+
+
+def mentions(node: ast.AST) -> list[str]:
+    """Each name ``node`` reads, reaches as an attribute, imports or spells as
+    a string, once per mention."""
+    out = []
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out.append(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.append(n.attr)
+        elif isinstance(n, ast.alias):
+            out.append(n.name.rpartition(".")[2])
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str) and (
+                n.value.isidentifier()):
+            out.append(n.value)
+    return out
+
+
+def unused_public_names(sources: dict[str, str], defining: list[str]) -> list[str]:
+    """Public names defined in the ``defining`` sources that no source names
+    outside the definition itself."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    named = Counter(m for tree in trees.values() for m in mentions(tree))
+    return sorted(d.name for name in defining for d in public_definitions(trees[name])
+                  if named[d.name] == mentions(d).count(d.name))
+
+
+def test_checker_finds_a_public_name_only_its_definition_names():
+    sources = {
+        "lib.py": ("import click\n"
+                   "class Store:\n"
+                   "    def put(self): return self.put\n"
+                   "    def save(self): return self.save()\n"
+                   "    def _hidden(self): pass\n"
+                   "def patched(): pass\n"
+                   "@click.group()\n"
+                   "def main(): pass\n"
+                   "@main.command('run')\n"
+                   "def run(): pass\n"),
+        "use.py": "from lib import Store\nStore().put()\nNAMES = ('patched',)\n",
+    }
+    assert unused_public_names(sources, ["lib.py"]) == ["save"]
+
+
+def test_every_public_name_is_named_outside_tests():
+    sources = {str(path): path.read_text(encoding="utf-8") for path in USING_MODULES}
+    package = [str(path) for path in sorted(PACKAGE.glob("*.py"))]
+    assert unused_public_names(sources, package) == []

@@ -27,7 +27,7 @@ from microreduce.storage import (
     ThrottlePolicy,
 )
 
-from conftest import drain
+from conftest import drain, invoke
 
 EID = "7b8c1d84-e894-4969-83f3-72df58013200"
 
@@ -48,8 +48,9 @@ def make_harness(shuffle="object", throttle=None, batch_size=100,
                            env=env, kv=kv, queue=queue, raw=raw, objects=objects)
 
 
-def invoke(h, fn, handler, payload, eid=EID):
-    proc = h.runtime.invoke(fn, partial(handler, h.env), payload, eid)
+def finish(h, fn, handler, payload, eid=EID):
+    """Run one invocation of ``handler`` bound to ``h.env`` to its end."""
+    proc = invoke(h.runtime, fn, partial(handler, h.env), payload, eid)
     h.sim.run(until=proc.finished)
     return proc.result
 
@@ -69,7 +70,7 @@ class TestIngest:
         h.raw.put("in.csv", body)
         h.env.batch_size = batch_size
         fn = FunctionConfig("ingest", 2048, workers=2)
-        return invoke(h, fn, ingest_handler, IngestEvent(EID, "raw", "in.csv"))
+        return finish(h, fn, ingest_handler, IngestEvent(EID, "raw", "in.csv"))
 
     def test_batch_arithmetic_with_short_tail(self):
         h = make_harness()
@@ -79,7 +80,7 @@ class TestIngest:
             "batches_emitted": 13, "records_emitted": 1234,
             "total_rows": 1234, "invalid_rows": 0,
         }
-        assert h.queue.sent_count == 13
+        assert len(h.queue) == 13
         batches = [h.queue.receive()[0].body for _ in range(13)]
         assert [b.seq for b in batches] == list(range(13))
         assert [len(b.carriers) for b in batches] == [100] * 12 + [34]
@@ -97,14 +98,14 @@ class TestIngest:
         assert record.outcome == "ok"
         assert record.result["batches_emitted"] == 0
         assert h.kv.counter_get(EID) == (0, 0)
-        assert h.queue.sent_count == 0
+        assert len(h.queue) == 0
 
     def test_broken_header_is_invocation_error_nothing_counted(self):
         h = make_harness()
         record = self.ingest(h, b"Year,Month\n1,2\n")
         assert record.outcome == "error"
         assert h.kv.counter_get(EID) == (0, 0)
-        assert h.queue.sent_count == 0
+        assert len(h.queue) == 0
 
     def test_counter_written_only_after_all_sends(self):
         h = make_harness()
@@ -116,14 +117,14 @@ class TestIngest:
         def watcher():
             while True:
                 ingested, _ = h.kv.counter_get(EID)
-                if ingested > 0 and h.queue.sent_count != 5:
-                    violations.append((ingested, h.queue.sent_count))
+                if ingested > 0 and len(h.queue) != 5:
+                    violations.append((ingested, len(h.queue)))
                 if ingested > 0:
                     return
                 yield 1.0
 
         h.sim.spawn(watcher())
-        proc = h.runtime.invoke(fn, partial(ingest_handler, h.env), event, EID)
+        proc = invoke(h.runtime, fn, partial(ingest_handler, h.env), event, EID)
         h.sim.run(until=proc.finished)
         assert proc.result.outcome == "ok"
         assert not violations
@@ -144,14 +145,14 @@ class TestMap:
     def test_four_carriers_four_entries(self):
         h = make_harness()
         fn = FunctionConfig("map", 128)
-        record = invoke(h, fn, map_handler, self.payload({"A": 30, "B": 30, "C": 30, "D": 10}))
+        record = finish(h, fn, map_handler, self.payload({"A": 30, "B": 30, "C": 30, "D": 10}))
         assert record.outcome == "ok"
         assert record.result == {"entries_written": 4}
         assert h.kv.counter_get(EID) == (0, 100)
 
     def test_single_carrier_single_entry_full_count(self):
         h = make_harness()
-        record = invoke(h, FunctionConfig("map", 128), map_handler,
+        record = finish(h, FunctionConfig("map", 128), map_handler,
                         self.payload({"AA": 100}))
         assert record.result == {"entries_written": 1}
         entries = [e for e in self._entries(h, "AA")]
@@ -164,7 +165,7 @@ class TestMap:
 
     def test_injected_failure_tombstones_and_skips_counter(self):
         h = make_harness(map_failure_rate=1.0)
-        record = invoke(h, FunctionConfig("map", 128), map_handler,
+        record = finish(h, FunctionConfig("map", 128), map_handler,
                         self.payload({"A": 50, "B": 50}))
         assert record.outcome == "error"
         assert "InjectedMapFailure" in repr(record.exception)
@@ -174,7 +175,7 @@ class TestMap:
     def test_throttled_twice_fails_batch_cleanly(self):
         h = make_harness(shuffle="kv",
                          throttle=ThrottlePolicy(0.0, 1.0, enabled=True))
-        record = invoke(h, FunctionConfig("map", 128), map_handler,
+        record = finish(h, FunctionConfig("map", 128), map_handler,
                         self.payload({"A": 10, "B": 10}))
         assert record.outcome == "error"
         assert isinstance(record.exception, MapWriteError)
@@ -185,7 +186,7 @@ class TestMap:
         # burst covers one write; the 50 ms backoff refills enough for the retry
         h = make_harness(shuffle="kv",
                          throttle=ThrottlePolicy(40.0, 1.0, enabled=True))
-        record = invoke(h, FunctionConfig("map", 128), map_handler,
+        record = finish(h, FunctionConfig("map", 128), map_handler,
                         self.payload({"A": 10, "B": 10}))
         assert record.outcome == "ok"
         assert h.kv.counter_get(EID) == (0, 20)
@@ -193,8 +194,8 @@ class TestMap:
     def test_redelivered_batch_counts_once(self):
         h = make_harness()
         payload = self.payload({"A": 60, "B": 40}, seq=3)
-        first = invoke(h, FunctionConfig("map", 128), map_handler, payload)
-        second = invoke(h, FunctionConfig("map", 128), map_handler, payload)
+        first = finish(h, FunctionConfig("map", 128), map_handler, payload)
+        second = finish(h, FunctionConfig("map", 128), map_handler, payload)
         assert first.outcome == second.outcome == "ok"
         # both attempts' entries exist under distinct instance ids, and the
         # per-partition totals are resolved by the counter rule: only
@@ -272,7 +273,7 @@ class TestReduceAggregate:
     def test_merge_example(self):
         h = make_harness()
         self.seed_entries(h, "AA", [(10, 2), (-4, 2)])
-        record = invoke(h, FunctionConfig("reduce1", 10240), reduce_aggregate_handler,
+        record = finish(h, FunctionConfig("reduce1", 10240), reduce_aggregate_handler,
                         {"partition_key": "AA"})
         assert record.outcome == "ok"
         assert record.result["delay_sum"] == 6
@@ -281,7 +282,7 @@ class TestReduceAggregate:
 
     def test_zero_entries_degenerate(self):
         h = make_harness()
-        record = invoke(h, FunctionConfig("reduce1", 10240), reduce_aggregate_handler,
+        record = finish(h, FunctionConfig("reduce1", 10240), reduce_aggregate_handler,
                         {"partition_key": "GHOST"})
         assert record.outcome == "error"
         assert isinstance(record.exception, DegenerateAggregateError)
@@ -294,7 +295,7 @@ class TestReduceAggregate:
             self.seed_entries(h, pk, [(1, 1)] * n)
         durations = {}
         for pk in sizes:
-            record = invoke(h, FunctionConfig("reduce1", 10240),
+            record = finish(h, FunctionConfig("reduce1", 10240),
                             reduce_aggregate_handler, {"partition_key": pk})
             durations[pk] = record.duration_ms
         ratio_entries = sizes["AA"] / sizes["HP"]
@@ -304,7 +305,7 @@ class TestReduceAggregate:
     def test_timeout_when_volume_exceeds_budget(self):
         h = make_harness()
         self.seed_entries(h, "AA", [(1, 1)] * 200)
-        record = invoke(h, FunctionConfig("reduce1", 10240, timeout_ms=1_000),
+        record = finish(h, FunctionConfig("reduce1", 10240, timeout_ms=1_000),
                         reduce_aggregate_handler, {"partition_key": "AA"})
         assert record.outcome == "timeout"
         assert record.duration_ms == 1_000.0
@@ -318,7 +319,7 @@ class TestReduceRank:
         ledger = generate_dataset(spec, ObjectStore())
         for carrier, (s, c) in ledger.carriers.items():
             h.kv.put_result(EID, carrier, s, c)
-        record = invoke(h, FunctionConfig("reduce2", 128), reduce_rank_handler,
+        record = finish(h, FunctionConfig("reduce2", 128), reduce_rank_handler,
                         {"limit": 10})
         assert record.outcome == "ok"
         expected = ledger.expected_ranking(10)
@@ -332,7 +333,7 @@ class TestReduceRank:
         h = make_harness()
         h.kv.put_result(EID, "AA", 10, 10)
         h.kv.put_result(EID, "BB", -10, 10)
-        record = invoke(h, FunctionConfig("reduce2", 128), reduce_rank_handler,
+        record = finish(h, FunctionConfig("reduce2", 128), reduce_rank_handler,
                         {"limit": 1})
         assert record.result["ranking"] == [
             {"carrier": "BB", "on_time_performance": -1.0}
@@ -342,5 +343,5 @@ class TestReduceRank:
         h = make_harness()
         for i, carrier in enumerate(["AA", "BB", "CC", "DD"]):
             h.kv.put_result(EID, carrier, i, 10)
-        record = invoke(h, FunctionConfig("reduce2", 128), reduce_rank_handler, {})
+        record = finish(h, FunctionConfig("reduce2", 128), reduce_rank_handler, {})
         assert 10.0 <= record.duration_ms <= 120.0

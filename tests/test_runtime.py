@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from types import SimpleNamespace
 
 import pytest
@@ -18,6 +18,7 @@ from microreduce.runtime import (
     FunctionConfig,
     FunctionRuntime,
     Interrupted,
+    QueueSource,
     RuntimeLimits,
     StorageClients,
     load_ledger_csv,
@@ -34,6 +35,7 @@ from microreduce.storage import (
     ThrottlePolicy,
 )
 
+from conftest import invoke, peak_concurrency
 
 ZERO_INIT = replace(DEFAULT_CALIBRATION, init_ms_mean=0.0, init_ms_sigma=0.0)
 
@@ -48,6 +50,13 @@ def make_runtime(seed=0, limits=None, cal=None, sim=None, objects=None, queue=No
         queue=queue if queue is not None else MessageQueue(clock=sim.now),
     )
     return FunctionRuntime(sim, clients, limits=limits or RuntimeLimits(), seed=seed)
+
+
+def run_to_end(rt, fn, handler, execution_id=""):
+    """Run one invocation with an empty payload to its end; return its record."""
+    proc = invoke(rt, fn, handler, {}, execution_id)
+    rt.sim.run(until=proc.finished)
+    return proc.result
 
 
 def busy_handler(units):
@@ -155,7 +164,8 @@ class TestCalibrationFit:
 
     def test_table_round_trip(self, tmp_path):
         path = tmp_path / "cal.txt"
-        DEFAULT_CALIBRATION.save(path)
+        path.write_text("".join(f"{f.name}={getattr(DEFAULT_CALIBRATION, f.name)!r}\n"
+                                for f in fields(CalibrationTable)), encoding="utf-8")
         loaded = CalibrationTable.load(path)
         assert loaded == DEFAULT_CALIBRATION
 
@@ -177,18 +187,18 @@ class TestInvocation:
     def test_first_call_is_cold_with_seeded_init(self):
         rt = make_runtime(seed=1)
         fn = FunctionConfig("fn", 1024)
-        record = rt.run_single(fn, busy_handler(10.0), {})
+        record = run_to_end(rt, fn, busy_handler(10.0))
         assert record.cold_start and record.outcome == "ok"
         assert 700 < record.init_ms < 1000  # seeded draw near the 850 mean
         rt2 = make_runtime(seed=1)
-        again = rt2.run_single(fn, busy_handler(10.0), {})
+        again = run_to_end(rt2, fn, busy_handler(10.0))
         assert again.init_ms == record.init_ms
 
     def test_warm_reuse_within_idle_window(self):
         rt = make_runtime()
         fn = FunctionConfig("fn", 1024)
-        first = rt.run_single(fn, busy_handler(5.0), {})
-        second = rt.run_single(fn, busy_handler(5.0), {})
+        first = run_to_end(rt, fn, busy_handler(5.0))
+        second = run_to_end(rt, fn, busy_handler(5.0))
         assert first.cold_start and not second.cold_start
         assert second.init_ms == 0.0
 
@@ -197,7 +207,7 @@ class TestInvocation:
         rt = make_runtime(sim=sim,
                           cal=replace(DEFAULT_CALIBRATION, warm_pool_idle_ms=1_000))
         fn = FunctionConfig("fn", 1024)
-        rt.run_single(fn, busy_handler(5.0), {})
+        run_to_end(rt, fn, busy_handler(5.0))
 
         def wait_then_invoke():
             yield 5_000.0
@@ -211,13 +221,13 @@ class TestInvocation:
     def test_serial_invocations_single_cold_start_with_infinite_idle(self):
         rt = make_runtime(cal=replace(DEFAULT_CALIBRATION, warm_pool_idle_ms=math.inf))
         fn = FunctionConfig("fn", 1024)
-        records = [rt.run_single(fn, busy_handler(1.0), {}) for _ in range(10)]
+        records = [run_to_end(rt, fn, busy_handler(1.0)) for _ in range(10)]
         assert sum(r.cold_start for r in records) == 1
 
     def test_billing_arithmetic(self):
         rt = make_runtime()
         fn = FunctionConfig("fn", 2048)
-        record = rt.run_single(fn, busy_handler(0.0), {})
+        record = run_to_end(rt, fn, busy_handler(0.0))
         assert record.billed_gb_ms == 2.0 * record.duration_ms
         # the reference example: 2 GB for 88403 ms bills 176806 GB-ms
         assert 2048 / 1024 * 88403 == 176806
@@ -230,7 +240,7 @@ class TestInvocation:
             yield 1.0
             raise RuntimeError("boom")
 
-        record = rt.run_single(fn, broken, {})
+        record = run_to_end(rt, fn, broken)
         assert record.outcome == "error"
         assert "boom" in repr(record.exception)
         assert isinstance(record.exception, RuntimeError)
@@ -251,7 +261,7 @@ class TestInvocation:
                 inner.__context__ = outer  # a cycle a raise itself would cut
                 raise
 
-        record = rt.run_single(fn, broken, {})
+        record = run_to_end(rt, fn, broken)
         assert record.outcome == "error"
         assert record.exception.__cause__ is inner
         assert inner.__context__ is record.exception
@@ -323,8 +333,9 @@ class TestInvocation:
             return None
 
         queue.send('{"execution_id": "e"}')
-        source = rt.attach_queue_source(FunctionConfig("map", 1024, timeout_ms=1_000),
-                                        queue, handler)
+        source = QueueSource(rt, FunctionConfig("map", 1024, timeout_ms=1_000), queue,
+                             handler)
+        source.start()
         sim.run(max_time=60_000.0)
         source.stop()
         assert [(r.outcome, r.start_ms, r.duration_ms) for r in rt.ledger] == [
@@ -335,7 +346,7 @@ class TestInvocation:
     def test_default_timeout_is_fifteen_minutes(self):
         rt = make_runtime()
         fn = FunctionConfig("fn", 1024)
-        record = rt.run_single(fn, busy_handler(1_000_000.0), {})
+        record = run_to_end(rt, fn, busy_handler(1_000_000.0))
         assert record.outcome == "timeout"
         assert record.duration_ms == 900_000.0
 
@@ -343,7 +354,7 @@ class TestInvocation:
         rt = make_runtime()
         fn = FunctionConfig("fn", 1536)
         for _ in range(7):
-            rt.run_single(fn, busy_handler(3.0), {})
+            run_to_end(rt, fn, busy_handler(3.0))
         total = sum(r.billed_gb_ms for r in rt.ledger)
         assert total == sum((1536 / 1024) * r.duration_ms for r in rt.ledger)
         assert sum(r.cold_start for r in rt.ledger) <= len(rt.ledger)
@@ -366,7 +377,7 @@ def test_handler_yielding_an_event_fails_loudly():
         ev.trigger()
 
     sim.spawn(trigger())
-    rt.invoke(FunctionConfig("fn", 1024), waits, {})
+    invoke(rt, FunctionConfig("fn", 1024), waits, {})
     with pytest.raises(SimError):
         sim.run()
     assert rt.ledger == []
@@ -376,7 +387,7 @@ def test_handler_yielding_an_event_fails_loudly():
         return None
 
     rt = make_runtime(cal=ZERO_INIT)
-    rt.invoke(FunctionConfig("fn", 1024), misspells, {})
+    invoke(rt, FunctionConfig("fn", 1024), misspells, {})
     with pytest.raises(SimError, match="'fn'.*object_gte"):
         rt.sim.run()
     assert rt.ledger == []
@@ -398,9 +409,9 @@ class TestConcurrencyCeiling:
 
             return handler
 
-        procs = [rt.invoke(fn, tracked(i), {}) for i in range(9)]
+        procs = [invoke(rt, fn, tracked(i), {}) for i in range(9)]
         sim.run(until=sim.all_of(procs))
-        assert rt.max_active_seen == 3
+        assert peak_concurrency(rt.ledger) == 3
         assert order == list(range(9))  # FIFO overflow queue
 
     def test_queued_invocations_not_billed_for_waiting(self):
@@ -409,7 +420,7 @@ class TestConcurrencyCeiling:
                           cal=replace(DEFAULT_CALIBRATION, init_ms_mean=0.0,
                                       init_ms_sigma=0.0))
         fn = FunctionConfig("fn", 1024)
-        procs = [rt.invoke(fn, busy_handler(100.0), {}) for _ in range(3)]
+        procs = [invoke(rt, fn, busy_handler(100.0), {}) for _ in range(3)]
         sim.run(until=sim.all_of(procs))
         for record in rt.ledger:
             assert record.duration_ms == pytest.approx(100.0)
@@ -422,8 +433,8 @@ class TestDeterminism:
             fn_a = FunctionConfig("a", 1024)
             fn_b = FunctionConfig("b", 2048)
             sim = rt.sim
-            procs = [rt.invoke(fn_a, busy_handler(50.0), {}) for _ in range(5)]
-            procs += [rt.invoke(fn_b, busy_handler(20.0), {}) for _ in range(5)]
+            procs = [invoke(rt, fn_a, busy_handler(50.0), {}) for _ in range(5)]
+            procs += [invoke(rt, fn_b, busy_handler(20.0), {}) for _ in range(5)]
             sim.run(until=sim.all_of(procs))
             return render_ledger_csv(rt.ledger)
 
@@ -434,7 +445,7 @@ class TestLedgerCsv:
     def test_round_trip(self, tmp_path):
         rt = make_runtime()
         fn = FunctionConfig("fn", 1024)
-        rt.run_single(fn, busy_handler(10.0), {}, execution_id="e1")
+        run_to_end(rt, fn, busy_handler(10.0), execution_id="e1")
         path = tmp_path / "ledger.csv"
         path.write_text(render_ledger_csv(rt.ledger), encoding="utf-8")
         loaded = load_ledger_csv(path)
@@ -465,7 +476,8 @@ class TestQueueSourceScaling:
             yield handler_ms
             return None
 
-        source = rt.attach_queue_source(FunctionConfig("map", 1024), queue, slow)
+        source = QueueSource(rt, FunctionConfig("map", 1024), queue, slow)
+        source.start()
         sim.run(max_time=minutes * 60_000.0 + 1.0)
         source.stop()
         return source
@@ -676,7 +688,7 @@ def test_write_op_whose_latency_reaches_the_deadline_never_lands(timeout_ms):
     def handler(ctx, payload):
         yield ("object_put", "k", b"")
 
-    record = rt.run_single(FunctionConfig("fn", 1024, timeout_ms=timeout_ms), handler, {})
+    record = run_to_end(rt, FunctionConfig("fn", 1024, timeout_ms=timeout_ms), handler)
     rt.sim.run()
     assert (record.outcome, record.duration_ms) == ("timeout", float(timeout_ms))
     assert objects.list() == []
@@ -693,7 +705,7 @@ def test_write_op_issued_in_cleanup_after_the_timeout_lands_uncut():
             yield ("object_put", "tombstone", b"x" * 4_096)
             raise
 
-    record = rt.run_single(FunctionConfig("fn", 1024, timeout_ms=500), handler, {})
+    record = run_to_end(rt, FunctionConfig("fn", 1024, timeout_ms=500), handler)
     assert (record.outcome, record.duration_ms) == ("timeout", 500.0)
     assert objects.list() == ["tombstone"]
     assert rt.sim.now() == 500.0 + ZERO_INIT.object_put_ms(4_096)
@@ -748,7 +760,8 @@ def test_idle_consumer_receives_at_its_poll_ticks_without_polling():
             queue.send(bodies[n])
 
     sim.spawn(sender())
-    source = rt.attach_queue_source(FunctionConfig("map", 1024), queue, handler)
+    source = QueueSource(rt, FunctionConfig("map", 1024), queue, handler)
+    source.start()
 
     # first receive at 1.0 finds nothing; A is taken at the first tick after
     # its send, fails, and comes back at the first tick after its deadline
@@ -771,3 +784,38 @@ def test_idle_consumer_receives_at_its_poll_ticks_without_polling():
     assert len(queue) == 0 and queue.dlq_count() == 0
     # a polling consumer would receive ~1,490 times in the idle stretch
     assert len([t for t in queue.receive_instants if t > idle]) <= 3
+
+
+def test_every_receive_goes_through_the_op_table():
+    # sends spaced wider than a poll put the consumer to sleep between them;
+    # the receive at each wake is the table's op like every polling receive
+    sim = Simulator()
+    queue = CountingQueue(clock=sim.now)
+    rt = make_runtime(sim=sim, cal=ZERO_INIT, queue=queue)
+    at_issue, receive, price = rt.clients.ops["queue_receive"]
+    applied = []
+
+    def counted_receive():
+        applied.append(sim.now())
+        return receive()
+
+    rt.clients.ops["queue_receive"] = (at_issue, counted_receive, price)
+
+    def sender():
+        for _ in range(3):
+            yield 10_000.0
+            queue.send(SimpleNamespace(execution_id="e"))
+
+    def handler(ctx, payload):
+        yield 5.0
+
+    sim.spawn(sender())
+    source = QueueSource(rt, FunctionConfig("map", 1024), queue, handler)
+    source.start()
+    sim.run(max_time=60_000.0)
+    source.stop()
+
+    assert [r.outcome for r in rt.ledger] == ["ok"] * 3
+    # an empty receive at the start and after each message, and one at each wake
+    assert len(queue.receive_instants) == 7
+    assert applied == queue.receive_instants

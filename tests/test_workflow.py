@@ -268,6 +268,14 @@ def test_throttled_error_records_hold_no_tracebacks():
             rf"write capacity exceeded for {eid}/{iid}#\1'\)", reason), reason
 
 
+def test_finished_job_leaves_no_send_callback_on_its_queue():
+    # a callback left set closes the cycle queue -> source -> runtime -> queue
+    raw, _ = small_dataset(files=1)
+    result = run_job(scenario(files=1), raw)
+    assert result.status == "completed", result.reason
+    assert result.queue.on_send is None
+
+
 # SHA-256 of the ranking document, trace.csv, ledger.csv and the DLQ bodies
 # (joined by newlines), pinned from the engine that polled every idle tick.
 # An engine change that keeps virtual-time outputs must keep every digest.
