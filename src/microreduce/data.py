@@ -5,9 +5,10 @@ while it writes, so end-to-end results can be checked against the ledger
 in O(1) instead of re-scanning the input.
 
 Both directions stream.  The parser reads the body one 64k block at a
-time, each cut just after a ``\n``, and is done with one block before it
-cuts the next, so parsing holds the parsed columns and one block's
-fields, not the decoded text.  The generator encodes rows into a
+time, each cut just after a ``\n``, and hands on one block's valid rows
+before it cuts the next, so a reader of its blocks holds one block's
+settled rows: not the parsed columns of the file, nor, between two
+blocks, a block's text or fields.  The generator encodes rows into a
 ``BytesIO`` a chunk at a time, so it peaks near 1.25 times the body it
 returns; only ``row_order="shuffled"`` holds every row string at once,
 because it must shuffle them.
@@ -29,8 +30,10 @@ split, and falls back to it on a field over its limit.  Each block is
 split once, as raw bytes if it is ASCII, and if every line of it has
 the header's width, its carrier, delay and cancelled fields are strided
 slices of that one split, which ``kernels.scan_rows`` settles by columns.
-Any other block yields its lines split one by one.  Other bodies go
-through ``csv.reader``.  If it raises (a field over
+Any other block is the list of its lines split one by one.  Other bodies
+go through ``csv.reader``, whose records ``scan_rows`` takes in lists of
+``_READER_ROWS``; between two lists the reader holds the decoded block
+its next line comes from.  If it raises (a field over
 ``csv.field_size_limit()``, or a bare ``\r`` inside an unquoted field),
 parse resumes over the same lines at the first record the reader did not
 yield, and splits each remaining line at ``,`` after stripping its
@@ -45,6 +48,7 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import chain, islice, repeat
 from operator import contains
 from pathlib import Path
@@ -100,13 +104,24 @@ class ParseStats:
     invalid_rows: int
 
 
-@dataclass(frozen=True, slots=True)
 class ParsedFile:
-    """Valid rows as aligned carrier/delay arrays plus row accounting."""
+    """One body's valid rows, read and settled one block at a time.
 
-    carriers: list[str]
-    delays: list[int]
-    stats: ParseStats
+    Iterating it, once, yields each block's valid rows as two aligned
+    lists ``(carriers, delays)``; ``stats`` is None until that iteration
+    has used up the body.
+    """
+
+    __slots__ = ("_blocks", "stats")
+
+    def __init__(self, blocks):
+        self._blocks = blocks
+        self.stats: Optional[ParseStats] = None
+
+    def __iter__(self):
+        total, invalid = yield from self._blocks
+        self.stats = ParseStats(total_rows=total, valid_rows=total - invalid,
+                                invalid_rows=invalid)
 
 
 #: Characters (of a ``str`` body) or bytes (of a ``bytes`` body) per
@@ -116,11 +131,16 @@ class ParsedFile:
 #: (near 256 kB).
 _BLOCK_CHARS = 1 << 16
 
+#: Records per list that a ``csv.reader`` body hands to ``scan_rows``;
+#: about one 64k block of generated rows.
+_READER_ROWS = 512
 
-def _blocks(body: bytes | str):
-    """Yield the body in blocks of about ``_BLOCK_CHARS``, each cut just after a ``\\n``."""
+
+def _blocks(body: bytes | str, start: int = 0):
+    """Yield ``body[start:]`` in blocks of about ``_BLOCK_CHARS``, each cut
+    just after a ``\\n``."""
     newline = b"\n" if isinstance(body, bytes) else "\n"
-    start, end = 0, len(body)
+    end = len(body)
     while start < end:
         stop = body.find(newline, start + _BLOCK_CHARS) + 1 or end
         yield body[start:stop]
@@ -153,7 +173,11 @@ def _split_lines(lines):
         yield line.rstrip("\r\n").split(",")
 
 
-def _iter_rows(body: bytes | str):
+def _iter_blocks(body: bytes | str):
+    """Yield the header row, then the body's rows a block at a time.
+
+    Each block is a ``kernels.Columns`` or a list of rows.
+    """
     # In UTF-8 the bytes of '"' and CR encode nothing else, so one test on
     # the raw body finds them.  Without either, csv.reader returns each
     # line split at ",", and falls back to that split if a field is over
@@ -161,23 +185,20 @@ def _iter_rows(body: bytes | str):
     quote, cr = (b'"', b"\r") if isinstance(body, bytes) else ('"', "\r")
     if quote not in body and cr not in body:
         return _split_blocks(body)
-    return _read_rows(body)
+    rows = _read_rows(body)
+    return chain(islice(rows, 1), iter(lambda: list(islice(rows, _READER_ROWS)), []))
 
 
 def _split_blocks(body: bytes | str):
     """Yield the header row, then each block as its schema's columns or as rows.
 
-    A block whose every line has the header's width is one
-    ``kernels.Columns``; any other block yields its lines split at ``,``.
-    An ASCII ``bytes`` block is split as bytes, without decoding; any
-    other ``bytes`` block is decoded first.
+    The blocks start after the header line, so no block is copied to
+    take the header off.  Between two items this holds no block.
     """
-    blocks = _blocks(body)
-    first = next(blocks, None)
-    if first is None:
+    if not body:
         return
-    head, _, rest = first.partition(b"\n" if isinstance(first, bytes) else "\n")
-    header = _decode(head).split(",")
+    start = body.find(b"\n" if isinstance(body, bytes) else "\n") + 1 or len(body)
+    header = _decode(body[:start]).removesuffix("\n").split(",")
     yield header
     # Resumed only once the caller has resolved the same header.
     schema = resolve_schema(header)
@@ -185,14 +206,21 @@ def _split_blocks(body: bytes | str):
     picks = (schema.carrier_idx, schema.delay_idx, schema.cancelled_idx)
     if not all(0 < i < width - 1 for i in picks):
         picks = None  # a first or last field shares its split element with a LF
-    for block in chain((rest,) if rest else (), blocks):
-        if isinstance(block, bytes) and not block.isascii():
-            block = _decode(block)
-        columns = _columns(block, width, picks) if picks else None
-        if columns is None:
-            yield from _split_lines(io.StringIO(_decode(block)))
-        else:
-            yield columns
+    yield from map(partial(_split_block, width, picks), _blocks(body, start))
+
+
+def _split_block(width: int, picks: Optional[tuple[int, int, int]], block: bytes | str):
+    """One block as its ``picks`` columns if it has them, else as its rows split at ``,``.
+
+    An ASCII ``bytes`` block is split as bytes, without decoding; any
+    other ``bytes`` block is decoded first.
+    """
+    if isinstance(block, bytes) and not block.isascii():
+        block = _decode(block)
+    columns = _columns(block, width, picks) if picks else None
+    if columns is None:
+        return list(_split_lines(io.StringIO(_decode(block))))
+    return columns
 
 
 def _columns(block: bytes | str, width: int, picks: tuple[int, int, int]):
@@ -235,23 +263,21 @@ def _read_rows(body: bytes | str):
 
 
 def parse_csv(data: bytes | str) -> ParsedFile:
-    """Parse one CSV file body; never raises on malformed rows.
+    """Parse one CSV file body as it is read; never raises on malformed rows.
 
     Rows failing the validity rule (delay blank or non-numeric, cancelled,
     carrier missing) are counted invalid and dropped.  Only a missing
-    required header column is an error.
+    required header column is an error, raised here, before any row is
+    read.
     """
-    rows = _iter_rows(data)
+    blocks = _iter_blocks(data)
     try:
-        header = next(rows)
+        header = next(blocks)
     except StopIteration:
         raise MissingColumnError("empty file: no header row")
     schema = resolve_schema(header)
-    carriers, delays, total, invalid = kernels.scan_rows(
-        rows, schema.carrier_idx, schema.delay_idx, schema.cancelled_idx
-    )
-    stats = ParseStats(total_rows=total, valid_rows=total - invalid, invalid_rows=invalid)
-    return ParsedFile(carriers=carriers, delays=delays, stats=stats)
+    return ParsedFile(kernels.scan_rows(
+        blocks, schema.carrier_idx, schema.delay_idx, schema.cancelled_idx))
 
 
 # -- synthetic dataset ----------------------------------------------------

@@ -4,15 +4,17 @@ Validity rule: a row is valid when it is long enough, the carrier field is
 non-empty, the delay field parses to an (integral) number, and the
 cancelled field does not parse to 1.
 
-``scan_rows`` takes rows one by one, or a block of rows as one
-``Columns`` item: the block's carrier, delay and cancelled fields, one
-list each.  It settles such a block in C calls over whole columns when
-each row's cancelled field is exactly ``0``, its carrier is non-empty
-once stripped and ``int`` converts its delay; rows that plainly fail
+``scan_rows`` takes rows a block at a time and yields each block's valid
+rows before it takes the next.  A block is a list of rows, or a
+``Columns``: the block's carrier, delay and cancelled fields, one list
+each.  It settles a ``Columns`` in C calls over whole columns when each
+row's cancelled field is exactly ``0``, its carrier is non-empty once
+stripped and ``int`` converts its delay; rows that plainly fail
 (cancelled not ``0``, delay or carrier empty) drop out by a mask, and
 any other block settles row by row by the same rule.  Carrier fields map
-through a table with one shared ``str`` per code.  ``group_rows`` sums a
-batch of a single carrier in one ``sum``.
+through a table with one shared ``str`` per code, and the delay fields
+of a ``Columns`` through a table with one shared ``int`` per text.
+``group_rows`` sums a batch of a single carrier in one ``sum``.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 import math
 from itertools import compress
 from operator import not_
-from typing import Iterable, NamedTuple, Sequence
+from typing import Generator, Iterable, NamedTuple, Sequence
 
 BACKEND = "python"  # recorded in each benchmark run report
 
@@ -75,31 +77,47 @@ def _row_delay(code: str, delay_text: str, cancelled_text: str) -> int | None:
 
 
 def scan_rows(
-    rows: Iterable[Sequence[str] | Columns],
+    blocks: Iterable[Sequence[Sequence[str]] | Columns],
     carrier_idx: int,
     delay_idx: int,
     cancelled_idx: int,
-) -> tuple[list[str], list[int], int, int]:
-    """Filter raw field rows down to (carrier, delay) pairs.
+) -> Generator[tuple[list[str], list[int]], None, tuple[int, int]]:
+    """Filter raw field rows down to (carrier, delay) pairs, one block at a time.
 
-    Returns ``(carriers, delays, total_rows, invalid_rows)`` where the two
-    lists hold only the valid rows, aligned.  Equal carrier codes are one
-    shared ``str`` object, so slices of ``carriers`` hold no per-row strings.
-    An item of ``rows`` is one row's fields or a ``Columns`` of several
-    rows' three fields, which count and settle as those rows would.
+    Each item of ``blocks`` is a list of rows' fields, or a ``Columns`` of
+    several rows' three fields, which count and settle as those rows
+    would.  For each block this yields its valid rows as two aligned
+    lists ``(carriers, delays)``, and holds nothing of the block while
+    suspended; once ``blocks`` is used up it returns ``(total_rows,
+    invalid_rows)``.  Equal carrier codes are one shared ``str`` object,
+    so the yielded lists hold no per-row strings.
     """
-    need = max(carrier_idx, delay_idx, cancelled_idx)
+    idx = (carrier_idx, delay_idx, cancelled_idx)
     codes: dict = {}  # carrier field -> the shared str of its stripped code
-    carriers: list[str] = []
-    delays: list[int] = []
+    numbers: dict = {}  # delay field of a Columns -> its shared int
     total = 0
     invalid = 0
+    for block in blocks:
+        carriers: list[str] = []
+        delays: list[int] = []
+        if type(block) is Columns:
+            total += len(block.delays)
+            invalid += _settle_columns(block, codes, numbers, carriers, delays)
+        else:
+            total += len(block)
+            invalid += _settle_rows(block, idx, codes, carriers, delays)
+        del block  # a suspended scan holds no block
+        yield carriers, delays
+    return total, invalid
+
+
+def _settle_rows(rows, idx: tuple[int, int, int], codes: dict, carriers: list,
+                 delays: list) -> int:
+    """Append the valid rows of ``rows`` and return how many are invalid."""
+    carrier_idx, delay_idx, cancelled_idx = idx
+    need = max(idx)
+    invalid = 0
     for row in rows:
-        if type(row) is Columns:
-            total += len(row.delays)
-            invalid += _settle_columns(row, codes, carriers, delays)
-            continue
-        total += 1
         if len(row) <= need:
             invalid += 1
             continue
@@ -110,10 +128,11 @@ def scan_rows(
             continue
         carriers.append(codes.setdefault(carrier, carrier))
         delays.append(delay)
-    return carriers, delays, total, invalid
+    return invalid
 
 
-def _settle_columns(columns: Columns, codes: dict, carriers: list, delays: list) -> int:
+def _settle_columns(columns: Columns, codes: dict, numbers: dict, carriers: list,
+                    delays: list) -> int:
     """Append the valid rows of ``columns`` and return how many are invalid.
 
     Rows whose cancelled field is not exactly ``0``, or whose delay or
@@ -136,12 +155,13 @@ def _settle_columns(columns: Columns, codes: dict, carriers: list, delays: list)
         picked = list(compress(picked, keep))
         delay_texts = list(compress(delay_texts, keep))
     try:
-        values = list(map(int, delay_texts))
+        for text in set(delay_texts).difference(numbers):
+            numbers[text] = int(text)
     except ValueError:
         return _settle_each(columns, codes, carriers, delays)
     carriers += picked
-    delays += values
-    return len(cancelled_texts) - len(values)
+    delays += map(numbers.__getitem__, delay_texts)
+    return len(cancelled_texts) - len(delay_texts)
 
 
 def _texts(fields):

@@ -84,26 +84,24 @@ class PipelineEnv:
 
 
 def ingest_handler(env: PipelineEnv, ctx: InvocationContext, event: IngestEvent):
-    """Download one raw CSV, drop invalid rows, emit micro-batches, then
-    write the ingested counter once everything is on the queue."""
+    """Download one raw CSV, drop invalid rows, emit micro-batches as parse
+    settles them, then write the ingested counter once everything is on
+    the queue."""
     cal = ctx.cal
 
     body = yield ("raw_object_get", event.object_key)
     ctx.note_memory(40 + 3 * len(body) // (1024 * 1024))
     parsed = parse_csv(body)  # raises on a broken header; nothing counted
 
-    carriers, delays = parsed.carriers, parsed.delays
-    n_valid = len(carriers)
-    batch_size = env.batch_size
+    n_valid = 0
     batches_emitted = 0
-    for start in range(0, n_valid, batch_size):
-        stop = min(start + batch_size, n_valid)
-        yield from ctx.work(
-            (stop - start) * cal.ingest_row_units + cal.ingest_batch_units
-        )
+    for carriers, delays in _batches(parsed, env.batch_size):
+        rows = len(carriers)
+        yield from ctx.work(rows * cal.ingest_row_units + cal.ingest_batch_units)
         yield ("queue_send", Batch(event.execution_id, batches_emitted, event.object_key,
-                                   carriers[start:stop], delays[start:stop]))
+                                   carriers, delays))
         batches_emitted += 1
+        n_valid += rows
 
     if n_valid > 0:
         # Deliberately last: the gate must never observe a completed
@@ -115,6 +113,26 @@ def ingest_handler(env: PipelineEnv, ctx: InvocationContext, event: IngestEvent)
         "total_rows": parsed.stats.total_rows,
         "invalid_rows": parsed.stats.invalid_rows,
     }
+
+
+def _batches(blocks, size: int):
+    """Cut aligned ``(carriers, delays)`` blocks into batches of ``size`` rows.
+
+    Only the last batch may be shorter.  Between two batches this holds
+    the current block's rows and fewer than ``size`` rows carried over
+    from the blocks before it.
+    """
+    carriers: list[str] = []
+    delays: list[int] = []
+    for more_carriers, more_delays in blocks:
+        carriers += more_carriers
+        delays += more_delays
+        full = len(carriers) - len(carriers) % size
+        for start in range(0, full, size):
+            yield carriers[start:start + size], delays[start:start + size]
+        del carriers[:full], delays[:full]
+    if carriers:
+        yield carriers, delays
 
 
 def map_handler(env: PipelineEnv, ctx: InvocationContext, batch: Batch):

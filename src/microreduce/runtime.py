@@ -36,7 +36,7 @@ from typing import Any, Callable, Optional
 
 from .calibration import MAX_MEMORY_MB, MIN_MEMORY_MB, CalibrationTable, vcpus
 from .core import new_execution_id
-from .sim import ClockStalled, Event, SimError, Simulator
+from .sim import ClockStalled, Event, Process, SimError, Simulator
 from .storage import KvStore, MessageQueue, ObjectStore
 
 LEDGER_COLUMNS = (
@@ -459,16 +459,25 @@ class QueueSource:
         self.pool_history: list[tuple[float, int]] = []
         self._stopped = False
         self._awaiting_send: dict[_IdleConsumer, None] = {}  # in order of sleep
+        self._procs: list[Process] = []  # the consumers and the scaler
 
     def start(self) -> None:
         self.queue.on_send = self._on_send
         self._grow(1)
-        self.runtime.sim.spawn(self._manager(), name="queue-scaler")
+        self._procs.append(self.runtime.sim.spawn(self._manager(), name="queue-scaler"))
 
     def stop(self) -> None:
-        # clearing the callback breaks the cycle queue -> source -> runtime -> queue
+        """Stop the pool where it stands, leaving no reference cycle behind.
+
+        Clearing the send callback breaks the cycle queue -> source ->
+        runtime -> queue.  Closing the consumers and the scaler drops their
+        frames, which reach the runtime, and a closed idle consumer cancels
+        its wake, which reaches the source.
+        """
         self._stopped = True
         self.queue.on_send = None
+        for proc in self._procs:
+            proc.gen.close()
 
     def _on_send(self) -> None:
         waiting, self._awaiting_send = self._awaiting_send, {}
@@ -478,7 +487,7 @@ class QueueSource:
     def _grow(self, n: int) -> None:
         sim = self.runtime.sim
         for _ in range(n):
-            sim.spawn(self._consumer(), name=f"consumer-{self.fn.name}")
+            self._procs.append(sim.spawn(self._consumer(), name=f"consumer-{self.fn.name}"))
         self.pool_size += n
         self.pool_history.append((sim.now(), self.pool_size))
 
@@ -505,7 +514,11 @@ class QueueSource:
             yield receive_ms()
             messages = receive()
             if not messages:
-                messages = yield _IdleConsumer(self, runtime.sim.now()).delivered
+                idle = _IdleConsumer(self, runtime.sim.now())
+                try:
+                    messages = yield idle.delivered
+                finally:
+                    idle.cancel()  # closed while asleep: it must not wake
             for msg in messages:
                 record = yield from runtime.invocation(
                     self.fn, self.handler, msg.body, getattr(msg.body, "execution_id", ""))
@@ -563,6 +576,13 @@ class _IdleConsumer:
         if deadline is not None:
             self._schedule(self._tick_at_or_after(deadline))
         self.source._awaiting_send[self] = None
+
+    def cancel(self) -> None:
+        """Drop a pending wake and the wait for a send; no-op once delivered."""
+        if self.handle is not None:
+            self.source.runtime.sim.cancel(self.handle)
+            self.handle = self.wake_at = None
+        self.source._awaiting_send.pop(self, None)
 
     def on_send(self) -> None:
         tick = self._tick_at_or_after(self.source.runtime.sim.now())

@@ -24,6 +24,8 @@ from typing import Any, Callable, Generator, Iterable, Optional
 
 ProcessGen = Generator[Any, Any, Any]
 
+_CALL = object()  # marks a heap entry that calls its action rather than resuming it
+
 
 class SimError(RuntimeError):
     pass
@@ -105,26 +107,27 @@ class Simulator:
 
     # -- scheduling ------------------------------------------------------
 
-    def call_in(self, delay: float, fn: Callable[[], None]) -> list:
-        """Run ``fn`` after ``delay`` ms.  Returns a cancellable handle."""
-        if delay < 0:
-            raise SimError(f"negative delay {delay}")
-        return self.call_at(self._now + delay, fn)
-
     def call_at(self, when: float, fn: Callable[[], None]) -> list:
         """Run ``fn`` at the absolute instant ``when``.  Returns a cancellable
-        handle.  ``now + (when - now)`` can differ from ``when`` in the last
-        bit, so callers that must land on an exact instant use this."""
+        handle.  It takes an instant, not a delay: ``now + (when - now)`` can
+        differ from ``when`` in the last bit."""
         if when < self._now:
             raise SimError(f"instant {when} is before now {self._now}")
+        return self._push(when, fn, _CALL)
+
+    def _push(self, when: float, action: Any, value: Any) -> list:
+        """Queue ``action``: a callable when ``value`` is ``_CALL``, else a
+        ``Process`` to resume with ``value``.  An entry names the process
+        itself, not a closure over the simulator, so a pending resume of a
+        closed process keeps nothing of the run alive."""
         jitter = self._tiebreak.random() if self._tiebreak is not None else 0.0
-        entry = [when, jitter, next(self._seq), fn]
+        entry = [when, jitter, next(self._seq), action, value]
         heapq.heappush(self._heap, entry)
         return entry
 
     @staticmethod
     def cancel(handle: list) -> None:
-        handle[-1] = None
+        handle[3] = None
 
     def spawn(self, gen: ProcessGen, name: str = "") -> Process:
         proc = Process(gen, name)
@@ -155,7 +158,9 @@ class Simulator:
     # -- process pump ----------------------------------------------------
 
     def _schedule_resume(self, proc: Process, delay: float, value: Any) -> None:
-        self.call_in(delay, lambda: self._resume(proc, value))
+        if delay < 0:
+            raise SimError(f"negative delay {delay}")
+        self._push(self._now + delay, proc, value)
 
     def _wait_on(self, proc: Process, ev: Event) -> None:
         ev.on_trigger(lambda value: self._schedule_resume(proc, 0.0, value))
@@ -182,7 +187,7 @@ class Simulator:
             if until is not None and until.triggered:
                 return
             entry = heapq.heappop(self._heap)
-            time, _, _, action = entry
+            time, _, _, action, value = entry
             if action is None:
                 continue  # cancelled
             if max_time is not None and time > max_time:
@@ -190,6 +195,9 @@ class Simulator:
                 self._now = max_time
                 return
             self._now = time
-            action()
+            if value is _CALL:
+                action()
+            else:
+                self._resume(action, value)
         if until is not None and not until.triggered:
             raise SimError("simulation ran dry before completion event")

@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import pytest
 
+from microreduce import kernels
 from microreduce.calibration import DEFAULT_CALIBRATION
+from microreduce.data import ParsedFile
 from microreduce.runtime import StorageClients
 from microreduce.storage import KvStore, ObjectStore
 
@@ -51,6 +53,23 @@ def drain(gen, clients):
                 arg = clients.ops[item[0]][1](*item[1:])
             except Exception as exc:
                 step, arg = gen.throw, exc
+
+
+def whole(parsed):
+    """Iterate a ``ParsedFile`` to its end: its blocks' valid rows joined
+    into whole-file ``(carriers, delays)`` columns, and its stats."""
+    carriers, delays = [], []
+    for more_carriers, more_delays in parsed:
+        carriers += more_carriers
+        delays += more_delays
+    return carriers, delays, parsed.stats
+
+
+def scan_whole(blocks, *idx):
+    """``kernels.scan_rows`` run to its end: ``(carriers, delays, total_rows,
+    invalid_rows)``, with the lists of every block joined."""
+    carriers, delays, stats = whole(ParsedFile(kernels.scan_rows(blocks, *idx)))
+    return carriers, delays, stats.total_rows, stats.invalid_rows
 
 
 def invoke(runtime, fn, handler, payload, execution_id=""):

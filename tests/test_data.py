@@ -30,6 +30,8 @@ from microreduce.data import (
 from microreduce import data, kernels
 from microreduce.storage import ObjectStore
 
+from conftest import scan_whole, whole
+
 
 def small_spec(**kwargs) -> GenSpec:
     defaults = dict(files=2, rows_per_file=500, invalid_fraction=0.1, seed=3)
@@ -48,14 +50,14 @@ def valid_row(carrier: str = "AA") -> str:
 
 class TestParse:
     def test_header_only_file(self):
-        parsed = parse_csv(CSV_HEADER + "\n")
-        assert parsed.stats.total_rows == 0
-        assert parsed.carriers == [] and parsed.delays == []
+        carriers, delays, stats = whole(parse_csv(CSV_HEADER + "\n"))
+        assert stats.total_rows == 0
+        assert carriers == [] and delays == []
 
     def test_single_row_maps_directly(self):
-        parsed = parse_csv(CSV_HEADER + "\n" + valid_row() + "\n")
-        assert parsed.stats.valid_rows == 1
-        assert (parsed.carriers, parsed.delays) == (["AA"], [15])
+        carriers, delays, stats = whole(parse_csv(CSV_HEADER + "\n" + valid_row() + "\n"))
+        assert stats.valid_rows == 1
+        assert (carriers, delays) == (["AA"], [15])
 
     def test_missing_required_column_is_an_error(self):
         with pytest.raises(MissingColumnError):
@@ -65,9 +67,9 @@ class TestParse:
 
     def test_malformed_rows_counted_not_fatal(self):
         body = CSV_HEADER + "\nnot,a,real,row\n"
-        parsed = parse_csv(body)
-        assert parsed.stats.invalid_rows == 1
-        assert parsed.stats.total_rows == 1
+        *_, stats = whole(parse_csv(body))
+        assert stats.invalid_rows == 1
+        assert stats.total_rows == 1
 
     def test_reader_error_resumes_after_last_yielded_row(self):
         # csv.reader rejects the 200,000-character field part-way through
@@ -75,7 +77,7 @@ class TestParse:
         # already read a second time.
         row = valid_row()
         body = "\n".join([CSV_HEADER, row, row, row, '"' + "x" * 200_000 + '"']) + "\n"
-        stats = parse_csv(body).stats
+        *_, stats = whole(parse_csv(body))
         assert (stats.total_rows, stats.valid_rows) == (4, 3)
 
     @pytest.mark.parametrize("before", ["", "x\ry\n"], ids=["reader", "fallback"])
@@ -84,8 +86,8 @@ class TestParse:
         # row, also once a bare CR in an earlier line made csv.reader raise.
         line = valid_row("UA") + "\x0c" + valid_row("DL")
         body = CSV_HEADER + "\n" + before + line + "\n"
-        parsed = parse_csv(body)
-        assert (parsed.carriers, parsed.stats.valid_rows) == (["UA"], 1)
+        carriers, _, stats = whole(parse_csv(body))
+        assert (carriers, stats.valid_rows) == (["UA"], 1)
 
     def test_generated_file_matches_ledger_exactly(self):
         store = ObjectStore()
@@ -94,10 +96,10 @@ class TestParse:
         totals: dict[str, tuple[int, int]] = {}
         seen_total = seen_invalid = 0
         for key in store.list():
-            parsed = parse_csv(store.get(key))
-            seen_total += parsed.stats.total_rows
-            seen_invalid += parsed.stats.invalid_rows
-            for carrier, delay in zip(parsed.carriers, parsed.delays):
+            carriers, delays, stats = whole(parse_csv(store.get(key)))
+            seen_total += stats.total_rows
+            seen_invalid += stats.invalid_rows
+            for carrier, delay in zip(carriers, delays):
                 s, c = totals.get(carrier, (0, 0))
                 totals[carrier] = (s + delay, c + 1)
         assert seen_total == ledger.total == spec.files * spec.rows_per_file
@@ -113,9 +115,9 @@ class TestParse:
 @settings(max_examples=200)
 def test_parser_is_total_on_arbitrary_bytes(blob):
     body = CSV_HEADER.encode() + b"\n" + blob
-    parsed = parse_csv(body)
-    assert parsed.stats.valid_rows + parsed.stats.invalid_rows == parsed.stats.total_rows
-    assert len(parsed.carriers) == parsed.stats.valid_rows
+    carriers, _, stats = whole(parse_csv(body))
+    assert stats.valid_rows + stats.invalid_rows == stats.total_rows
+    assert len(carriers) == stats.valid_rows
 
 
 # Quotes and a bare CR make csv.reader join lines or raise; CRLF, form
@@ -184,10 +186,8 @@ _QUOTE_FREE_TEXT = st.lists(
 def _reference_parse(body: str):
     rows = _stringio_rows(body)
     schema = resolve_schema(next(rows))
-    carriers, delays, total, invalid = kernels.scan_rows(
-        rows, schema.carrier_idx, schema.delay_idx, schema.cancelled_idx
-    )
-    return carriers, delays, total, invalid
+    return scan_whole([list(rows)], schema.carrier_idx, schema.delay_idx,
+                      schema.cancelled_idx)
 
 
 @given(st.one_of(_CSV_TEXT, _QUOTE_FREE_TEXT), _BLOCK_SIZES)
@@ -197,15 +197,13 @@ def test_parse_matches_the_stringio_reader(text, block):
     expected = _reference_parse(body)
     for given_body in (body, body.encode()):
         with mock.patch.object(data, "_BLOCK_CHARS", block):
-            parsed = parse_csv(given_body)
-        stats = parsed.stats
-        got = (parsed.carriers, parsed.delays, stats.total_rows, stats.invalid_rows)
+            got = _outputs(parse_csv(given_body))
         assert got == expected, type(given_body).__name__
 
 
 def _outputs(parsed):
-    stats = parsed.stats
-    return parsed.carriers, parsed.delays, stats.total_rows, stats.invalid_rows
+    carriers, delays, stats = whole(parsed)
+    return carriers, delays, stats.total_rows, stats.invalid_rows
 
 
 def test_quote_free_field_over_the_limit_reads_as_the_stringio_reader():
@@ -257,7 +255,7 @@ def test_header_width_blocks_settle_by_columns_as_rows(rows, final_lf, block):
     for given_body in (body, body.encode()):
         with mock.patch.object(data, "_BLOCK_CHARS", block):
             assert _outputs(parse_csv(given_body)) == expected, type(given_body).__name__
-            items = list(data._iter_rows(given_body))[1:]
+            items = list(data._iter_blocks(given_body))[1:]
         if lined_up:
             # No silent fallback: each data block is one Columns item.
             assert all(type(item) is kernels.Columns for item in items)
@@ -279,7 +277,8 @@ def test_fallback_splits_quote_free_lines_as_the_reader_reads_them(line):
     # goes through the fallback's split.  An empty line reads [] from the
     # reader and [""] from the split; both scan as one invalid row.
     read = [row or [""] for row in csv.reader(io.StringIO(line))]
-    assert list(data._iter_rows("x\ry\n" + line)) == [["x\ry"]] + read
+    header, *blocks = data._iter_blocks("x\ry\n" + line)
+    assert [header] + [row for block in blocks for row in block] == [["x\ry"]] + read
 
 
 def _padded_spec() -> GenSpec:
@@ -313,11 +312,11 @@ def test_parse_peaks_below_twice_the_body(bare_cr, bound):
         body = b"\n".join([header, first, second.replace(b",", b"\r,", 1), rest])
     tracemalloc.start()
     try:
-        parsed = parse_csv(body)
+        *_, stats = whole(parse_csv(body))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert parsed.stats.total_rows == 30_000
+    assert stats.total_rows == 30_000
     assert peak <= bound * len(body), f"parse adds {peak / len(body):.2f}x the body"
 
 
@@ -363,7 +362,8 @@ def test_ledger_counts_a_last_row_that_fills_its_chunk():
     store = ObjectStore()
     ledger = generate_dataset(GenSpec(files=1, rows_per_file=rows, seed=1), store)
     assert ledger.total == rows == sum(c for _, c in ledger.carriers.values())
-    assert parse_csv(store.get("part-0000.csv")).stats.total_rows == rows
+    *_, stats = whole(parse_csv(store.get("part-0000.csv")))
+    assert stats.total_rows == rows
 
 
 def _format_row(rng: Random, carrier: str, delay: Optional[int], cancelled: bool,
@@ -433,9 +433,9 @@ def test_padding_goes_after_the_tail_number_even_inside_the_code():
                    carriers=(CarrierProfile("N105NA", 1.0, 5, 10),))
     store = ObjectStore()
     ledger = generate_dataset(spec, store)
-    parsed = parse_csv(store.get("part-0000.csv"))
+    carriers, delays, _ = whole(parse_csv(store.get("part-0000.csv")))
     sums: dict[str, tuple[int, int]] = {}
-    for carrier, delay in zip(parsed.carriers, parsed.delays):
+    for carrier, delay in zip(carriers, delays):
         s, c = sums.get(carrier, (0, 0))
         sums[carrier] = (s + delay, c + 1)
     assert sums == ledger.carriers
@@ -536,11 +536,9 @@ class TestGenerator:
     def test_clustered_rows_group_consecutively(self):
         store = ObjectStore()
         generate_dataset(small_spec(files=1, invalid_fraction=0.0), store)
-        parsed = parse_csv(store.get("part-0000.csv"))
-        transitions = sum(
-            1 for a, b in zip(parsed.carriers, parsed.carriers[1:]) if a != b
-        )
-        assert transitions == len(set(parsed.carriers)) - 1
+        carriers, _, _ = whole(parse_csv(store.get("part-0000.csv")))
+        transitions = sum(1 for a, b in zip(carriers, carriers[1:]) if a != b)
+        assert transitions == len(set(carriers)) - 1
 
 
 def test_apportion_is_exact_and_stable():

@@ -1,5 +1,6 @@
 """Row-scan and group-by kernel semantics."""
 
+import weakref
 from random import Random
 
 import pytest
@@ -8,9 +9,11 @@ from hypothesis import strategies as st
 
 from microreduce import kernels
 
+from conftest import scan_whole
+
 
 def test_valid_row_passes():
-    carriers, delays, total, invalid = kernels.scan_rows([["AA", "15", "0"]], 0, 1, 2)
+    carriers, delays, total, invalid = scan_whole([[["AA", "15", "0"]]], 0, 1, 2)
     assert (carriers, delays, total, invalid) == (["AA"], [15], 1, 0)
 
 
@@ -27,17 +30,56 @@ def test_valid_row_passes():
     ],
 )
 def test_invalid_rows_filtered(row):
-    carriers, delays, total, invalid = kernels.scan_rows([row], 0, 1, 2)
+    carriers, delays, total, invalid = scan_whole([[row]], 0, 1, 2)
     assert (carriers, delays) == ([], [])
     assert (total, invalid) == (1, 1)
 
 
 def test_float_delays_round_and_negative_parse():
-    carriers, delays, *_ = kernels.scan_rows(
-        [["AA", "-7", "0"], ["BB", "2.6", ""], ["CC", " 12 ", "0.00"]], 0, 1, 2
+    carriers, delays, *_ = scan_whole(
+        [[["AA", "-7", "0"], ["BB", "2.6", ""], ["CC", " 12 ", "0.00"]]], 0, 1, 2
     )
     assert carriers == ["AA", "BB", "CC"]
     assert delays == [-7, 3, 12]
+
+
+class _Rows(list):
+    """A block of rows that a weak reference can watch."""
+
+
+def test_scan_rows_yields_each_block_before_taking_the_next_and_keeps_none():
+    pulled = []
+
+    def block(n):
+        rows = _Rows([["AA", str(n), "0"]] * n)
+        pulled.append(weakref.ref(rows))
+        return rows
+
+    scan = kernels.scan_rows(map(block, (1, 2, 3)), 0, 1, 2)
+    assert next(scan) == (["AA"], [1])
+    assert len(pulled) == 1 and pulled[0]() is None
+    assert next(scan) == (["AA"] * 2, [2, 2])
+    assert len(pulled) == 2 and pulled[1]() is None
+    assert list(scan) == [(["AA"] * 3, [3] * 3)]
+    assert scan.gi_frame is None
+
+
+def test_column_delays_share_one_int_per_text_across_blocks():
+    def block(delays):
+        n = len(delays)
+        return kernels.Columns([b"AA"] * n, delays, [b"0"] * n)
+
+    # Below -5 and above 256, int() builds a new object for each call.
+    carriers, delays, total, invalid = scan_whole(
+        [block([b"-70", b"300", b"-70"]), block([b"300", b"-70"])], 0, 1, 2)
+    assert delays == [-70, 300, -70, 300, -70] and (total, invalid) == (5, 0)
+    assert len({id(d) for d in delays}) == 2
+    assert len({id(c) for c in carriers}) == 1
+
+
+def test_column_delay_int_rejects_settles_row_by_row():
+    columns = kernels.Columns([b"AA", b"BB", b"CC"], [b"2.6", b"-70", b"x"], [b"0"] * 3)
+    assert scan_whole([columns], 0, 1, 2) == (["AA", "BB"], [3, -70], 3, 1)
 
 
 def test_group_rows_basic():
@@ -76,7 +118,7 @@ rows_strategy = st.lists(
 @given(rows_strategy)
 @settings(max_examples=300)
 def test_scan_rows_accounts_for_every_row(rows):
-    carriers, delays, total, invalid = kernels.scan_rows(rows, 0, 1, 2)
+    carriers, delays, total, invalid = scan_whole([rows], 0, 1, 2)
     assert total == len(rows)
     assert len(carriers) == len(delays) == total - invalid
     assert all(c and c == c.strip() for c in carriers)

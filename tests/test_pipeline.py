@@ -1,10 +1,23 @@
 import json
+import tracemalloc
 from functools import partial
 from types import SimpleNamespace
+from unittest import mock
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from microreduce import data
 from microreduce.calibration import DEFAULT_CALIBRATION
 from microreduce.core import DegenerateAggregateError
-from microreduce.data import CSV_HEADER, GenSpec, generate_dataset
+from microreduce.data import (
+    CSV_HEADER,
+    GenSpec,
+    MissingColumnError,
+    generate_dataset,
+    parse_csv,
+)
 from microreduce.pipeline import (
     Batch,
     GateState,
@@ -18,7 +31,12 @@ from microreduce.pipeline import (
     reduce_rank_handler,
 )
 from microreduce.ports import ShuffleEntry, make_adapter
-from microreduce.runtime import FunctionConfig, FunctionRuntime, StorageClients
+from microreduce.runtime import (
+    FunctionConfig,
+    FunctionRuntime,
+    InvocationContext,
+    StorageClients,
+)
 from microreduce.sim import Simulator
 from microreduce.storage import (
     KvStore,
@@ -27,7 +45,7 @@ from microreduce.storage import (
     ThrottlePolicy,
 )
 
-from conftest import drain, invoke
+from conftest import drain, invoke, whole
 
 EID = "7b8c1d84-e894-4969-83f3-72df58013200"
 
@@ -135,6 +153,110 @@ class TestIngest:
         record = self.ingest(h, body)
         assert record.result["records_emitted"] == 10
         assert record.result["invalid_rows"] == 1
+
+
+def ingest_ops(body, batch_size, keep=True):
+    """Drive one ingest of ``body`` outside a simulator, time ignored.
+
+    Returns what it returns, or the exception it raises, and the ops it
+    issued after its get.  With ``keep`` false no op is kept, so each batch
+    is dropped as soon as it is sent.
+    """
+    issued = []
+
+    def issue(name, *args):
+        if keep:
+            issued.append((name, *args))
+
+    clients = SimpleNamespace(ops={"raw_object_get": (True, lambda key: body, None)})
+    for name in ("queue_send", "counter_add"):
+        clients.ops[name] = (False, partial(issue, name), None)
+    ctx = InvocationContext(FunctionConfig("ingest", 2048, workers=2), DEFAULT_CALIBRATION,
+                            EID, "i-0", 0)
+    handler = ingest_handler(PipelineEnv(port=None, batch_size=batch_size), ctx,
+                             IngestEvent(EID, "raw", "in.csv"))
+    try:
+        return drain(handler, clients), issued
+    except Exception as exc:
+        return exc, issued
+
+
+# Lines of a body: header-width rows with valid and invalid delays and
+# cancelled fields, a non-ASCII carrier (its block is decoded), ragged
+# rows and an empty line (their blocks split line by line), and a quoted
+# field and a bare CR (the body goes through csv.reader, and after the CR
+# through its fallback).
+_FIELDS = (
+    "2001,5,9,3,900,855,1100,1045,{carrier},100,N1AA,120,110,100,{delay},5,ORD,DFW,800,"
+    "5,10,{cancelled},,0,0,0,0,0,0")
+_HEADER_WIDTH = st.builds(
+    _FIELDS.format,
+    carrier=st.sampled_from(["AA", "UA", "DL", "\u00dc1", ""]),
+    delay=st.sampled_from(["15", "-7", "-70", "300", "2.6", "", "x"]),
+    cancelled=st.sampled_from(["0", "0", "1", ""]),
+)
+_ODD_LINE = st.sampled_from(
+    ["", "AA,1,0", _FIELDS.format(carrier="AA", delay="3", cancelled="0") + ",extra",
+     '2001,"5",9', "x\ry"])
+
+
+def _body(lines: list[str], final_lf: bool, as_bytes: bool):
+    text = "\n".join([CSV_HEADER, *lines]) + "\n" * final_lf
+    return text.encode() if as_bytes else text
+
+
+_BODY = st.builds(_body, st.lists(_HEADER_WIDTH | _ODD_LINE, max_size=60), st.booleans(),
+                  st.booleans()) | st.just(b"")
+
+
+@given(_BODY, st.integers(1, 8) | st.integers(1, 1_000), st.integers(1, 400))
+@settings(max_examples=300, deadline=None)
+def test_streamed_batches_are_slices_of_the_whole_file_columns(body, batch_size, block):
+    with mock.patch.object(data, "_BLOCK_CHARS", block):
+        result, issued = ingest_ops(body, batch_size)
+    if not body:
+        assert isinstance(result, MissingColumnError) and issued == []
+        return
+    carriers, delays, stats = whole(parse_csv(body))
+    starts = range(0, len(carriers), batch_size)
+    sends = [("queue_send", Batch(EID, seq, "in.csv", carriers[start:start + batch_size],
+                                  delays[start:start + batch_size]))
+             for seq, start in enumerate(starts)]
+    counted = [("counter_add", EID, "ingested", len(carriers))] if carriers else []
+    assert issued == sends + counted
+    assert result == {"batches_emitted": len(sends), "records_emitted": len(carriers),
+                      "total_rows": stats.total_rows, "invalid_rows": stats.invalid_rows}
+
+
+@pytest.mark.parametrize("body", [b"Year,Month\n1,2\n", b"\n" + CSV_HEADER.encode()])
+def test_broken_header_raises_before_any_op_after_the_get(body):
+    result, issued = ingest_ops(body, 100)
+    assert isinstance(result, MissingColumnError)
+    assert issued == []
+
+
+def _padded_body(rows: int) -> bytes:
+    store = ObjectStore()
+    generate_dataset(GenSpec(files=1, rows_per_file=rows, seed=606, row_pad_to_bytes=309),
+                     store)
+    return store.get("part-0000.csv")
+
+
+def test_ingest_memory_does_not_grow_with_the_file():
+    # Anchor-shaped rows of 309 bytes: 6.2 MB and 24.7 MB bodies.  Built
+    # before tracing starts, so each peak is what the ingest adds.
+    peaks = []
+    for rows in (20_000, 80_000):
+        body = _padded_body(rows)
+        tracemalloc.start()
+        try:
+            result, _ = ingest_ops(body, 100, keep=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result["records_emitted"] == result["total_rows"] == rows
+        peaks.append(peak)
+    assert max(peaks) <= 1.1 * min(peaks), f"traced peaks {peaks} bytes"
 
 
 class TestMap:

@@ -1,8 +1,10 @@
 import dataclasses
+import gc
 import hashlib
 import json
 import re
 import signal
+import weakref
 
 import pytest
 
@@ -274,6 +276,28 @@ def test_finished_job_leaves_no_send_callback_on_its_queue():
     result = run_job(scenario(files=1), raw)
     assert result.status == "completed", result.reason
     assert result.queue.on_send is None
+
+
+@pytest.mark.parametrize("throttled", [True, False], ids=["kv-throttled", "preset-2"])
+def test_finished_job_is_freed_without_the_cyclic_collector(throttled):
+    # A suspended consumer or scaler, a pending idle wake or a heap entry
+    # that closes over the simulator would keep the job's graph alive
+    # until a collection.
+    raw, _ = small_dataset()
+    throttle = ThrottlePolicy(2.0, 10.0, enabled=True)
+    config = scenario(shuffle_system="kv", override_gate=True,
+                      throttle=throttle) if throttled else scenario()
+    gc.collect()
+    gc.disable()
+    try:
+        result = run_job(config, raw)
+        assert result.status == "completed", result.reason
+        assert not throttled or any(r.outcome == "error" for r in result.records)
+        sim = weakref.ref(result.sim)
+        del result
+        assert sim() is None
+    finally:
+        gc.enable()
 
 
 # SHA-256 of the ranking document, trace.csv, ledger.csv and the DLQ bodies
