@@ -19,9 +19,14 @@ The generator draws each field as a rejection draw over the public
 ``sample(_ORIGINS, 2)`` is two such draws with ``sample``'s pool swap.
 That is what CPython's ``randrange`` and ``sample`` do for
 ``random.Random``, so the bytes and the generator state match them call
-for call, at about half the CPU.  Delays still come from ``rng.gauss``.
-A row padded to ``row_pad_to_bytes`` gets its ``X`` padding right after
-its TailNum, whatever the carrier code holds.
+for call.  No draw is a Python call: a narrow site (at most 512 entries)
+reads a module-level table that holds its value, or its text where only
+the text is written, and None where ``randrange`` would draw again; the
+four wide sites and ``sample``'s two indices reject inline.  Delays
+still come from ``rng.gauss``, and each carrier block goes into the
+ledger in one write, just before its last row is yielded.  A row padded
+to ``row_pad_to_bytes`` gets its ``X`` padding right after its TailNum,
+whatever the carrier code holds.
 
 Parse has one line model: a line ends at ``\n`` and nowhere else.  A
 body with no ``"`` and no ``\r`` (every generated file) is split at
@@ -393,10 +398,6 @@ class GenLedger:
     total: int = 0
     file_names: list[str] = field(default_factory=list)
 
-    def add(self, carrier: str, delay: int) -> None:
-        s, c = self.carriers.get(carrier, (0, 0))
-        self.carriers[carrier] = (s + delay, c + 1)
-
     @property
     def valid(self) -> int:
         return self.total - self.invalid
@@ -437,20 +438,32 @@ _ORIGINS = ("ORD", "DFW", "ATL", "LAX", "PHX", "DEN", "IAH", "MSP", "DTW", "SFO"
             "STL", "EWR", "LAS", "CLT", "SEA")
 
 
-def _span(start: int, stop: int) -> tuple[int, int, int]:
-    """``(start, width, bits)`` of one ``randrange(start, stop)`` draw site."""
+def _table(start: int, stop: int, text: bool = False) -> tuple:
+    """One ``randrange(start, stop)`` draw site as a lookup over
+    ``getrandbits(width.bit_length())``: entry ``r`` is ``start + r`` (its
+    text if ``text``), or None where ``randrange`` rejects ``r`` and draws
+    again."""
     width = stop - start
-    return start, width, width.bit_length()
+    drawn = [str(start + r) if text else start + r for r in range(width)]
+    return (*drawn, *[None] * ((1 << width.bit_length()) - width))
 
 
-# One span per draw site, in draw order.  ``_ORIGIN`` and ``_DEST`` are
-# the two pool indices ``sample(_ORIGINS, 2)`` draws.
-_YEAR, _MONTH, _DAY, _DOW = _span(1988, 2009), _span(1, 13), _span(1, 29), _span(1, 8)
-_CRS_DEP, _BLOCK_TIME = _span(500, 2300), _span(45, 400)
-_FLIGHT, _TAIL = _span(1, 7000), _span(100, 999)
-_ORIGIN, _DEST = _span(0, len(_ORIGINS)), _span(0, len(_ORIGINS) - 1)
-_DISTANCE, _DEP_DELAY, _AIR_GAP = _span(100, 2700), _span(-10, 60), _span(10, 40)
-_TAXI_IN, _TAXI_OUT = _span(2, 15), _span(5, 30)
+# The narrow draw sites (at most 512 entries each), as tables; the wide
+# ones (CRSDepTime, FlightNum, TailNum, Distance) and the two pool
+# indices of ``sample`` reject inline.  A site whose value is only
+# written holds its text.
+_YEARS, _MONTHS, _DAYS, _DOWS = (_table(1988, 2009, True), _table(1, 13, True),
+                                 _table(1, 29, True), _table(1, 8, True))
+_BLOCK_TIMES, _DEP_DELAYS, _AIR_GAPS = _table(45, 400), _table(-10, 60), _table(10, 40)
+_TAXI_INS, _TAXI_OUTS = _table(2, 15, True), _table(5, 30, True)
+# ``sample(_ORIGINS, 2)`` draws a pool index, then one below the pool's
+# new length, after moving the last pool entry into the slot it took
+# first; ``_ROUTES[first][second]`` is the "Origin,Dest" text they give.
+_ROUTES = tuple(
+    tuple(f"{origin},{_ORIGINS[-1 if second == first else second]}"
+          for second in range(len(_ORIGINS) - 1))
+    for first, origin in enumerate(_ORIGINS)
+)
 
 
 def _row_formatter(rng: Random, carrier: str, pad_to: int):
@@ -459,27 +472,47 @@ def _row_formatter(rng: Random, carrier: str, pad_to: int):
     Each draw is ``randrange``'s own for ``random.Random``: a rejection
     draw over ``getrandbits(width.bit_length())``.  So the rows, and the
     state they leave ``rng`` in, are those the same ``randrange`` and
-    ``sample`` calls give.  A row shorter than ``pad_to - 1`` (the newline
+    ``sample`` calls give.  A narrow site reads its value from its table
+    until the entry is not None; a wide one rejects inline, without a
+    Python call per draw.  A row shorter than ``pad_to - 1`` (the newline
     takes one byte) is padded with ``X`` after its TailNum.
     """
     getrandbits = rng.getrandbits
     tail_suffix = carrier[0] + carrier[-1]
 
-    def draw(start, width, bits):
-        r = getrandbits(bits)
-        while r >= width:
-            r = getrandbits(bits)
-        return start + r
-
     def format_row(delay: Optional[int], cancelled: bool) -> str:
-        year, month, day, dow = draw(*_YEAR), draw(*_MONTH), draw(*_DAY), draw(*_DOW)
-        crs_dep = draw(*_CRS_DEP)
-        crs_arr = (crs_dep + draw(*_BLOCK_TIME)) % 2400
-        flight_num, tail_num, elapsed = draw(*_FLIGHT), draw(*_TAIL), draw(*_BLOCK_TIME)
-        # sample() moves the last pool entry into the slot it took first.
-        first, second = draw(*_ORIGIN), draw(*_DEST)
-        origin, dest = _ORIGINS[first], _ORIGINS[-1 if second == first else second]
-        distance, dep_delay = draw(*_DISTANCE), draw(*_DEP_DELAY)
+        # A site draws ``width.bit_length()`` bits: a table's length is
+        # ``1 << bits``, and a wide site rejects at its width (FlightNum's
+        # ``randrange(1, 7000)`` is 13 bits below 6999).  Inline sites
+        # measured faster than a loop over a tuple of sites.
+        while (year := _YEARS[getrandbits(5)]) is None:
+            pass
+        while (month := _MONTHS[getrandbits(4)]) is None:
+            pass
+        while (day := _DAYS[getrandbits(5)]) is None:
+            pass
+        while (dow := _DOWS[getrandbits(3)]) is None:
+            pass
+        while (crs_dep := getrandbits(11)) >= 1800:
+            pass
+        crs_dep += 500
+        while (block_time := _BLOCK_TIMES[getrandbits(9)]) is None:
+            pass
+        crs_arr = (crs_dep + block_time) % 2400
+        while (flight_num := getrandbits(13)) >= 6999:
+            pass
+        while (tail_num := getrandbits(10)) >= 899:
+            pass
+        while (elapsed := _BLOCK_TIMES[getrandbits(9)]) is None:
+            pass
+        while (first := getrandbits(4)) >= 15:
+            pass
+        while (second := getrandbits(4)) >= 14:
+            pass
+        while (distance := getrandbits(12)) >= 2600:
+            pass
+        while (dep_delay := _DEP_DELAYS[getrandbits(7)]) is None:
+            pass
         if cancelled:
             dep_time = arr_time = arr_delay = air = ""
             cancelled_s, code = "1", "A"
@@ -487,13 +520,18 @@ def _row_formatter(rng: Random, carrier: str, pad_to: int):
             dep_time = (crs_dep + dep_delay) % 2400
             arr_delay = "" if delay is None else delay
             arr_time = (crs_arr + (delay or 0)) % 2400
-            air = elapsed - draw(*_AIR_GAP)
+            while (air_gap := _AIR_GAPS[getrandbits(5)]) is None:
+                pass
+            air = elapsed - air_gap
             cancelled_s, code = "0", ""
+        while (taxi_in := _TAXI_INS[getrandbits(4)]) is None:
+            pass
+        while (taxi_out := _TAXI_OUTS[getrandbits(5)]) is None:
+            pass
         head = (f"{year},{month},{day},{dow},{dep_time},{crs_dep},{arr_time},{crs_arr},"
-                f"{carrier},{flight_num},N{tail_num}{tail_suffix}")
-        rest = (f",{elapsed},{elapsed},{air},{arr_delay},{dep_delay},{origin},{dest},"
-                f"{distance},{draw(*_TAXI_IN)},{draw(*_TAXI_OUT)},{cancelled_s},{code},"
-                f"0,0,0,0,0,0")
+                f"{carrier},{flight_num + 1},N{tail_num + 100}{tail_suffix}")
+        rest = (f",{elapsed},{elapsed},{air},{arr_delay},{dep_delay},{_ROUTES[first][second]},"
+                f"{distance + 100},{taxi_in},{taxi_out},{cancelled_s},{code},0,0,0,0,0,0")
         return head + "X" * (pad_to - 1 - len(head) - len(rest)) + rest
 
     return format_row
@@ -502,31 +540,44 @@ def _row_formatter(rng: Random, carrier: str, pad_to: int):
 def _generate_rows(spec: GenSpec, rng: Random, ledger: GenLedger):
     """Yield one file's rows, carrier block by carrier block.
 
-    Each row is in ``ledger`` before it is yielded, so the ledger is whole
-    once the last row is out, whether or not the generator is resumed.
+    A block's delays are summed in locals, and its ``(sum, count)``,
+    invalid rows and total go into ``ledger`` just before its last row is
+    yielded, so the ledger is whole once the last row is out, whether or
+    not the generator is resumed.  The first invalid slot is half an
+    interval in, so a block's first row is valid and every block that
+    has rows adds its carrier.
     """
     blocks = _apportion(spec.rows_per_file, [c.weight for c in spec.carriers])
+    gauss = rng.gauss
     for profile, block in zip(spec.carriers, blocks):
         if block == 0:
             continue
         format_row = _row_formatter(rng, profile.code, spec.row_pad_to_bytes)
+        mean, sigma = profile.delay_mean, profile.delay_sigma
         n_invalid = round(block * spec.invalid_fraction)
         invalid_every = block / n_invalid if n_invalid else 0.0
         next_invalid = invalid_every / 2 if n_invalid else math.inf
-        placed_invalid = 0
+        placed_invalid = delay_sum = 0
+        last = block - 1
         for i in range(block):
             if placed_invalid < n_invalid and i >= next_invalid:
                 # Alternate the two invalid shapes: blank delay / cancelled.
                 row = format_row(None, placed_invalid % 2 == 1)
                 placed_invalid += 1
                 next_invalid += invalid_every
-                ledger.invalid += 1
             else:
-                delay = round(rng.gauss(profile.delay_mean, profile.delay_sigma))
-                delay = max(-60, min(600, delay))
+                delay = round(gauss(mean, sigma))
+                if delay < -60:
+                    delay = -60
+                elif delay > 600:
+                    delay = 600
+                delay_sum += delay
                 row = format_row(delay, False)
-                ledger.add(profile.code, delay)
-            ledger.total += 1
+            if i == last:
+                s, c = ledger.carriers.get(profile.code, (0, 0))
+                ledger.carriers[profile.code] = (s + delay_sum, c + block - placed_invalid)
+                ledger.invalid += placed_invalid
+                ledger.total += block
             yield row
 
 

@@ -28,7 +28,7 @@ import csv
 import io
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 from random import Random
@@ -64,6 +64,8 @@ class FunctionConfig:
     memory_mb: int
     timeout_ms: int = MAX_TIMEOUT_MS
     workers: int = 1
+    #: The vCPUs at ``memory_mb``, worked out once: every work charge reads it.
+    vcpus: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not MIN_MEMORY_MB <= self.memory_mb <= MAX_MEMORY_MB:
@@ -73,15 +75,10 @@ class FunctionConfig:
             raise ValueError(f"timeout_ms {self.timeout_ms} outside (0, {MAX_TIMEOUT_MS}]")
         if self.workers < 1:
             raise ValueError("workers must be positive")
-        if self.workers > vcpus(self.memory_mb):
+        object.__setattr__(self, "vcpus", vcpus(self.memory_mb))
+        if self.workers > self.vcpus:
             raise ValueError(
-                f"workers {self.workers} exceeds {vcpus(self.memory_mb)} vCPUs "
-                f"at {self.memory_mb} MB"
-            )
-
-    @property
-    def vcpus(self) -> int:
-        return vcpus(self.memory_mb)
+                f"workers {self.workers} exceeds {self.vcpus} vCPUs at {self.memory_mb} MB")
 
 
 @dataclass(frozen=True, slots=True)
@@ -427,8 +424,13 @@ class FunctionRuntime:
             else:
                 # land on the deadline exactly: now + (deadline - now) may not
                 expired = self.sim.event()
-                self.sim.call_at(deadline, expired.trigger)
-                yield expired
+                handle = self.sim.call_at(deadline, expired.trigger)
+                try:
+                    yield expired
+                finally:
+                    # Closed while waiting: the pending trigger would keep
+                    # the event, and through its waiter the simulator.
+                    self.sim.cancel(handle)
                 step, arg = throw, Interrupted(f"{name} timed out")
                 interrupted = True
 

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import tracemalloc
 from itertools import islice
 from random import Random
@@ -439,6 +440,201 @@ def test_padding_goes_after_the_tail_number_even_inside_the_code():
         s, c = sums.get(carrier, (0, 0))
         sums[carrier] = (s + delay, c + 1)
     assert sums == ledger.carriers
+
+
+# -- the generator before its draws became table lookups -------------------
+#
+# ``_row_formatter`` and ``_generate_rows`` as they drew each field through
+# a ``draw`` call and wrote every row into the ledger, kept verbatim (but
+# for their names) as the reference the table-driven generator must match.
+
+
+class _ReferenceLedger:
+    """The ledger the reference writes: one ``add`` per valid row."""
+
+    def __init__(self):
+        self.carriers: dict[str, tuple[int, int]] = {}
+        self.invalid = 0
+        self.total = 0
+
+    def add(self, carrier: str, delay: int) -> None:
+        s, c = self.carriers.get(carrier, (0, 0))
+        self.carriers[carrier] = (s + delay, c + 1)
+
+
+def _span(start: int, stop: int) -> tuple[int, int, int]:
+    """``(start, width, bits)`` of one ``randrange(start, stop)`` draw site."""
+    width = stop - start
+    return start, width, width.bit_length()
+
+
+# One span per draw site, in draw order.  ``_ORIGIN`` and ``_DEST`` are
+# the two pool indices ``sample(_ORIGINS, 2)`` draws.
+_YEAR, _MONTH, _DAY, _DOW = _span(1988, 2009), _span(1, 13), _span(1, 29), _span(1, 8)
+_CRS_DEP, _BLOCK_TIME = _span(500, 2300), _span(45, 400)
+_FLIGHT, _TAIL = _span(1, 7000), _span(100, 999)
+_ORIGIN, _DEST = _span(0, len(_ORIGINS)), _span(0, len(_ORIGINS) - 1)
+_DISTANCE, _DEP_DELAY, _AIR_GAP = _span(100, 2700), _span(-10, 60), _span(10, 40)
+_TAXI_IN, _TAXI_OUT = _span(2, 15), _span(5, 30)
+
+
+def _reference_row_formatter(rng: Random, carrier: str, pad_to: int):
+    """Return ``format_row(delay, cancelled)`` for one carrier's rows.
+
+    Each draw is ``randrange``'s own for ``random.Random``: a rejection
+    draw over ``getrandbits(width.bit_length())``.  So the rows, and the
+    state they leave ``rng`` in, are those the same ``randrange`` and
+    ``sample`` calls give.  A row shorter than ``pad_to - 1`` (the newline
+    takes one byte) is padded with ``X`` after its TailNum.
+    """
+    getrandbits = rng.getrandbits
+    tail_suffix = carrier[0] + carrier[-1]
+
+    def draw(start, width, bits):
+        r = getrandbits(bits)
+        while r >= width:
+            r = getrandbits(bits)
+        return start + r
+
+    def format_row(delay: Optional[int], cancelled: bool) -> str:
+        year, month, day, dow = draw(*_YEAR), draw(*_MONTH), draw(*_DAY), draw(*_DOW)
+        crs_dep = draw(*_CRS_DEP)
+        crs_arr = (crs_dep + draw(*_BLOCK_TIME)) % 2400
+        flight_num, tail_num, elapsed = draw(*_FLIGHT), draw(*_TAIL), draw(*_BLOCK_TIME)
+        # sample() moves the last pool entry into the slot it took first.
+        first, second = draw(*_ORIGIN), draw(*_DEST)
+        origin, dest = _ORIGINS[first], _ORIGINS[-1 if second == first else second]
+        distance, dep_delay = draw(*_DISTANCE), draw(*_DEP_DELAY)
+        if cancelled:
+            dep_time = arr_time = arr_delay = air = ""
+            cancelled_s, code = "1", "A"
+        else:
+            dep_time = (crs_dep + dep_delay) % 2400
+            arr_delay = "" if delay is None else delay
+            arr_time = (crs_arr + (delay or 0)) % 2400
+            air = elapsed - draw(*_AIR_GAP)
+            cancelled_s, code = "0", ""
+        head = (f"{year},{month},{day},{dow},{dep_time},{crs_dep},{arr_time},{crs_arr},"
+                f"{carrier},{flight_num},N{tail_num}{tail_suffix}")
+        rest = (f",{elapsed},{elapsed},{air},{arr_delay},{dep_delay},{origin},{dest},"
+                f"{distance},{draw(*_TAXI_IN)},{draw(*_TAXI_OUT)},{cancelled_s},{code},"
+                f"0,0,0,0,0,0")
+        return head + "X" * (pad_to - 1 - len(head) - len(rest)) + rest
+
+    return format_row
+
+
+def _reference_generate_rows(spec: GenSpec, rng: Random, ledger: "_ReferenceLedger"):
+    """Yield one file's rows, carrier block by carrier block.
+
+    Each row is in ``ledger`` before it is yielded, so the ledger is whole
+    once the last row is out, whether or not the generator is resumed.
+    """
+    blocks = _apportion(spec.rows_per_file, [c.weight for c in spec.carriers])
+    for profile, block in zip(spec.carriers, blocks):
+        if block == 0:
+            continue
+        format_row = _reference_row_formatter(rng, profile.code, spec.row_pad_to_bytes)
+        n_invalid = round(block * spec.invalid_fraction)
+        invalid_every = block / n_invalid if n_invalid else 0.0
+        next_invalid = invalid_every / 2 if n_invalid else math.inf
+        placed_invalid = 0
+        for i in range(block):
+            if placed_invalid < n_invalid and i >= next_invalid:
+                # Alternate the two invalid shapes: blank delay / cancelled.
+                row = format_row(None, placed_invalid % 2 == 1)
+                placed_invalid += 1
+                next_invalid += invalid_every
+                ledger.invalid += 1
+            else:
+                delay = round(rng.gauss(profile.delay_mean, profile.delay_sigma))
+                delay = max(-60, min(600, delay))
+                row = format_row(delay, False)
+                ledger.add(profile.code, delay)
+            ledger.total += 1
+            yield row
+
+
+def _reference_dataset(spec: GenSpec) -> tuple[list[bytes], _ReferenceLedger]:
+    """Each file body and the ledger, by the reference."""
+    ledger, bodies = _ReferenceLedger(), []
+    for i in range(spec.files):
+        rng = Random(spec.seed * 1_000_003 + i)
+        rows = list(_reference_generate_rows(spec, rng, ledger))
+        if spec.row_order == "shuffled":
+            rng.shuffle(rows)
+        bodies.append("\n".join([CSV_HEADER, *rows, ""]).encode())
+    return bodies, ledger
+
+
+def _ledger_view(ledger) -> tuple:
+    # Key order too: the ledger JSON sorts its keys, but ``carriers`` is a dict.
+    return list(ledger.carriers.items()), ledger.invalid, ledger.total
+
+
+# Shares of 0 give zero-weight carriers; a repeated code puts two blocks
+# under one ledger key.
+_PROFILE = st.builds(
+    lambda code, share, mean, sigma: (CarrierProfile(code, 0.0, mean, sigma), share),
+    st.sampled_from(["AA", "UA", "Q", "N105NA"]),
+    st.integers(0, 4),
+    st.integers(-700, 700),
+    st.integers(0, 400) | st.floats(0.0, 50.0),
+)
+
+
+def _weighted(profiles) -> tuple[CarrierProfile, ...]:
+    total = sum(share for _, share in profiles)
+    return tuple(CarrierProfile(p.code, share / total, p.delay_mean, p.delay_sigma)
+                 for p, share in profiles)
+
+
+_SMALL_SPEC = st.builds(
+    GenSpec,
+    files=st.integers(1, 3),
+    rows_per_file=st.integers(1, 200),
+    carriers=st.lists(_PROFILE, min_size=1, max_size=5).filter(
+        lambda ps: any(share for _, share in ps)).map(_weighted),
+    invalid_fraction=st.sampled_from([0.0, 0.02, 0.5, 0.9, 0.99, 0.999999])
+    | st.floats(0.0, 1.0, exclude_max=True),
+    seed=st.integers(0, 2**32),
+    row_order=st.sampled_from(["clustered", "shuffled"]),
+    row_pad_to_bytes=st.integers(0, 400),
+)
+
+
+@given(_SMALL_SPEC, st.integers(1, 64))
+@settings(max_examples=300, deadline=None)
+def test_generator_matches_the_reference(spec, chunk_rows):
+    expected_bodies, expected = _reference_dataset(spec)
+    # Rows, ledger and rng state, the ledger read right after each file's
+    # last row is out, before the generator is resumed.
+    ledger = data.GenLedger()
+    reference = _ReferenceLedger()
+    for i in range(spec.files):
+        rng, ref_rng = Random(spec.seed * 1_000_003 + i), Random(spec.seed * 1_000_003 + i)
+        rows = list(islice(data._generate_rows(spec, rng, ledger), spec.rows_per_file))
+        assert rows == list(_reference_generate_rows(spec, ref_rng, reference))
+        assert _ledger_view(ledger) == _ledger_view(reference)
+        assert rng.getstate() == ref_rng.getstate()
+    # Whole files, chunked so that a file spans several chunks.
+    store = ObjectStore()
+    with mock.patch.object(data, "_CHUNK_ROWS", chunk_rows):
+        ledger = generate_dataset(spec, store)
+    assert [store.get(name) for name in ledger.file_names] == expected_bodies
+    assert _ledger_view(ledger) == _ledger_view(expected)
+
+
+def test_every_block_keeps_its_first_row_valid():
+    # At an invalid_fraction near 1 a block has as many invalid slots as
+    # rows, but the first slot is half an interval in, so no block is all
+    # invalid and each carrier block counts exactly one valid row.
+    spec = small_spec(files=1, invalid_fraction=0.999999)
+    ledger = generate_dataset(spec, ObjectStore())
+    blocks = _apportion(spec.rows_per_file, [c.weight for c in spec.carriers])
+    assert [(code, c) for code, (_, c) in ledger.carriers.items()] == [
+        (p.code, 1) for p, block in zip(spec.carriers, blocks) if block]
+    assert ledger.invalid == spec.rows_per_file - len(ledger.carriers)
 
 
 class TestGenerator:

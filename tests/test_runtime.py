@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 from dataclasses import fields, replace
 from types import SimpleNamespace
 
@@ -319,6 +321,27 @@ class TestInvocation:
         assert [(r.outcome, r.duration_ms) for r in proc.result] == [
             ("timeout", 500.0), ("ok", 100.0)]
         assert resumed == [500.0, 600.0, 20_600.0]
+
+    def test_closing_the_driver_at_its_deadline_wait_frees_the_simulator(self):
+        # The deadline's pending trigger reaches the simulator through the
+        # waiter on its event, so a driver closed during that wait must not
+        # leave it in the heap.
+        def closed_during_the_deadline_wait():
+            sim = Simulator()
+            rt = make_runtime(sim=sim, cal=ZERO_INIT)
+            proc = invoke(rt, FunctionConfig("fn", 1024, timeout_ms=500),
+                          latency_handler(100_000.0), {})
+            sim.run(max_time=100.0)
+            assert sim.now() == 100.0 and not proc.finished.triggered
+            proc.gen.close()
+            return weakref.ref(sim)
+
+        gc.collect()
+        gc.disable()
+        try:
+            assert closed_during_the_deadline_wait()() is None
+        finally:
+            gc.enable()
 
     def test_queue_consumer_survives_a_handler_timeout(self):
         cal = replace(DEFAULT_CALIBRATION, init_ms_mean=0.0, init_ms_sigma=0.0)
