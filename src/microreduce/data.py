@@ -85,7 +85,6 @@ class CsvSchema:
     carrier_idx: int
     delay_idx: int
     cancelled_idx: int
-    columns: tuple[str, ...]
 
 
 def resolve_schema(header: Sequence[str]) -> CsvSchema:
@@ -95,7 +94,6 @@ def resolve_schema(header: Sequence[str]) -> CsvSchema:
             carrier_idx=cols.index("UniqueCarrier"),
             delay_idx=cols.index("ArrDelay"),
             cancelled_idx=cols.index("Cancelled"),
-            columns=tuple(cols),
         )
     except ValueError as exc:
         missing = [c for c in REQUIRED_COLUMNS if c not in cols]

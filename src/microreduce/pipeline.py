@@ -149,41 +149,37 @@ def map_handler(env: PipelineEnv, ctx: InvocationContext, batch: Batch):
     try:
         for carrier in sorted(groups):
             delay_sum, count = groups[carrier]
-            entry = ShuffleEntry(
+            op = env.port.write_op(ShuffleEntry(
                 execution_id=execution_id,
                 partition_key=carrier,
                 instance_id=ctx.instance_id,
                 delay_sum=delay_sum,
                 count=count,
-            )
-            yield from _write_with_retry(ctx, env, entry)
+            ))
+            # One retry after a backoff; it runs outside the first failure's
+            # handler, so a MapWriteError chains to the second failure only.
+            for retry in (False, True):
+                try:
+                    yield op
+                    break
+                except (ThrottledError, StorageFaultError) as exc:
+                    if retry:
+                        raise MapWriteError(
+                            f"shuffle write failed twice for {carrier}: {exc}"
+                        ) from exc
+                    yield cal.map_retry_backoff_ms
             written.append(carrier)
         if env.map_failure_rate > 0.0 and ctx.rng.random() < env.map_failure_rate:
             raise InjectedMapFailure(f"injected failure for batch {batch.seq}")
     except Exception:
         # Tombstone this attempt's writes so a redelivery cannot double
         # count; the mapped counter was never incremented for it.
-        yield from env.port.delete_instance_entries(
-            execution_id, ctx.instance_id, written
-        )
+        for carrier in written:
+            yield env.port.delete_op(execution_id, ctx.instance_id, carrier)
         raise
 
     yield ("counter_add", execution_id, "mapped", rows)
     return {"entries_written": len(written)}
-
-
-def _write_with_retry(ctx: InvocationContext, env: PipelineEnv, entry: ShuffleEntry):
-    try:
-        yield from env.port.write_entry(entry)
-        return
-    except (ThrottledError, StorageFaultError):
-        yield ctx.cal.map_retry_backoff_ms
-    try:
-        yield from env.port.write_entry(entry)
-    except (ThrottledError, StorageFaultError) as exc:
-        raise MapWriteError(
-            f"shuffle write failed twice for {entry.partition_key}: {exc}"
-        ) from exc
 
 
 def reduce_gate(

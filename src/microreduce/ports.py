@@ -1,13 +1,14 @@
 """Shuffle storage port with object-store and key-value adapters.
 
-Both adapters expose the same three operations (write an entry, read a
-partition, list partitions) and are observationally equivalent when the
-backend is fault-free; which one a job uses is pure configuration.  Each
-operation is a generator that yields storage ops for ``FunctionRuntime.drive``
-to apply; an adapter holds no store.  Entries cross the store as frozen
-``ShuffleEntry`` values, never as bytes: an entry's ``len`` is the byte size
-of its canonical JSON, which prices it, and ``bytes`` renders that JSON only
-when the store is dumped.
+Both adapters expose the same four operations (write an entry, tombstone
+one, read a partition, list partitions) and are observationally equivalent
+when the backend is fault-free; which one a job uses is pure configuration.
+An adapter holds no store: it builds each write and tombstone as one storage
+op, which the map handler yields for ``FunctionRuntime.drive`` to apply, and
+the reads, which use their ops' results, are generators that yield them.
+Entries cross the store as frozen ``ShuffleEntry`` values, never as bytes:
+an entry's ``len`` is the byte size of its canonical JSON, which prices it,
+and ``bytes`` renders that JSON only when the store is dumped.
 """
 
 from __future__ import annotations
@@ -69,16 +70,20 @@ class ShuffleEntry:
         }
 
 
-def object_key_for(entry: ShuffleEntry) -> str:
-    return f"{entry.execution_id}/{entry.partition_key}/{entry.instance_id}.json"
+def object_key_for(execution_id: str, partition_key: str, instance_id: str) -> str:
+    return f"{execution_id}/{partition_key}/{instance_id}.json"
 
 
 class ObjectShuffleAdapter:
     """Entries as objects under ``{execution}/{partition}/{instance}.json``;
     each object is the entry itself."""
 
-    def write_entry(self, entry: ShuffleEntry):
-        yield ("object_put", object_key_for(entry), entry)
+    def write_op(self, entry: ShuffleEntry) -> tuple:
+        return ("object_put", object_key_for(entry.execution_id, entry.partition_key,
+                                             entry.instance_id), entry)
+
+    def delete_op(self, execution_id: str, instance_id: str, partition_key: str) -> tuple:
+        return ("object_delete", object_key_for(execution_id, partition_key, instance_id))
 
     def read_partition(self, execution_id: str, partition_key: str):
         keys = yield ("object_list", f"{execution_id}/{partition_key}/")
@@ -92,10 +97,9 @@ class ObjectShuffleAdapter:
         partitions = sorted({key.split("/")[1] for key in keys})
         return partitions
 
-    def delete_instance_entries(self, execution_id: str, instance_id: str,
-                                partition_keys: list[str]):
-        for pk in partition_keys:
-            yield ("object_delete", f"{execution_id}/{pk}/{instance_id}.json")
+
+def _kv_sort_key(instance_id: str, partition_key: str) -> str:
+    return f"{instance_id}#{partition_key}"
 
 
 class KvShuffleAdapter:
@@ -107,14 +111,16 @@ class KvShuffleAdapter:
     key is ``{instance_id}#{partition_key}`` to keep primary keys unique.
     """
 
-    def write_entry(self, entry: ShuffleEntry):
-        item = KvItem(
+    def write_op(self, entry: ShuffleEntry) -> tuple:
+        return ("kv_put", KvItem(
             hash_key=entry.execution_id,
-            sort_key=f"{entry.instance_id}#{entry.partition_key}",
+            sort_key=_kv_sort_key(entry.instance_id, entry.partition_key),
             lsi_sort_key=entry.partition_key,
             payload=entry,
-        )
-        yield ("kv_put", item)
+        ))
+
+    def delete_op(self, execution_id: str, instance_id: str, partition_key: str) -> tuple:
+        return ("kv_delete", execution_id, _kv_sort_key(instance_id, partition_key))
 
     def read_partition(self, execution_id: str, partition_key: str):
         items = yield ("kv_query_lsi", execution_id, partition_key)
@@ -123,11 +129,6 @@ class KvShuffleAdapter:
     def list_partitions(self, execution_id: str):
         items = yield ("kv_scan", execution_id)
         return sorted({item.lsi_sort_key for item in items})
-
-    def delete_instance_entries(self, execution_id: str, instance_id: str,
-                                partition_keys: list[str]):
-        for pk in partition_keys:
-            yield ("kv_delete", execution_id, f"{instance_id}#{pk}")
 
 
 def make_adapter(kind: str):

@@ -25,6 +25,9 @@ KV_THROTTLE_SUSTAINED_OPS = 9.0
 KV_THROTTLE_BURST = 120.0
 
 _SHUFFLE_ALIASES = {"s3": "object", "object": "object", "dynamodb": "kv", "kv": "kv"}
+_INT_FIELDS = ("files", "ingest_threads", "ingest_memory_mb", "map_memory_mb",
+               "reduce1_memory_mb", "reduce2_memory_mb", "batch_size", "seed",
+               "gate_max_attempts", "max_receives", "ranking_limit")
 
 
 @dataclass(frozen=True)
@@ -53,6 +56,11 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.shuffle_system not in ("object", "kv"):
             raise ValueError(f"shuffle_system must be object|kv, got {self.shuffle_system!r}")
+        ints = _INT_FIELDS if self.interleave_seed is None else _INT_FIELDS + ("interleave_seed",)
+        for name in ints:
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise TypeError(f"{name} must be an int, got {value!r}")
         if self.files < 1:
             raise ValueError("files must be positive")
         if self.batch_size < 1:

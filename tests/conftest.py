@@ -37,6 +37,11 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_line(f"criterion {num:>2}: {status}  {title}")
 
 
+def apply(op, clients):
+    """Apply one op through ``clients`` at once and return its result."""
+    return clients.ops[op[0]][1](*op[1:])
+
+
 def drain(gen, clients):
     """Run a generator of latencies and ops outside a simulator: apply each op
     through ``clients`` at once, ignore time, and return what ``gen`` returns.
@@ -50,7 +55,7 @@ def drain(gen, clients):
         step, arg = gen.send, None
         if isinstance(item, tuple):
             try:
-                arg = clients.ops[item[0]][1](*item[1:])
+                arg = apply(item, clients)
             except Exception as exc:
                 step, arg = gen.throw, exc
 

@@ -5,7 +5,6 @@ criterion (see conftest)."""
 from __future__ import annotations
 
 import json
-import os
 import time
 from functools import partial
 from random import Random
@@ -528,9 +527,6 @@ def test_full_scale_shuffle_write_reduction(anchor_store):
     assert abs(writes * 100 - ledger.valid) / ledger.valid < 0.02
 
 
-@pytest.mark.skipif(os.environ.get("MICROREDUCE_FULL_SCALE") != "1",
-                    reason="~3 min: 12-file full-scale profile; "
-                           "set MICROREDUCE_FULL_SCALE=1 to run")
 def test_full_scale_twelve_file_aggregate_dominates(anchor_store):
     # at twelve full-size input files the per-partition aggregation becomes
     # the largest phase by far (reference share: 57.1%); measured at this

@@ -121,6 +121,18 @@ class TestRun:
         assert config["scenario"]["shuffle_system"] == "kv"  # flag beat file
         assert config["scenario"]["seed"] == 9
 
+    def test_scenario_file_with_a_fractional_count_fails(self, runner, tmp_path):
+        scenario_path = tmp_path / "scenario.json"
+        scenario_path.write_text(json.dumps({"files": 1, "ranking_limit": 0.5}),
+                                 encoding="utf-8")
+        (tmp_path / "data").mkdir()
+        out = tmp_path / "runs"
+        result = runner.invoke(main, ["run", "--scenario", str(scenario_path),
+                                      "--data", str(tmp_path / "data"), "--out", str(out)])
+        assert result.exit_code != 0
+        assert "bad scenario file: ranking_limit must be an int, got 0.5" in result.output
+        assert not out.exists()
+
     def test_byte_identical_reruns(self, runner, tmp_path):
         data = generate_cli_data(runner, tmp_path)
         outs = []
@@ -164,7 +176,8 @@ class TestRun:
             doc = json.loads(path.read_bytes())
             entry = ShuffleEntry(**doc)
             assert path.read_bytes() == json.dumps(entry.to_doc(), sort_keys=True).encode()
-            assert path.relative_to(run_dir / "shuffle").as_posix() == object_key_for(entry)
+            assert path.relative_to(run_dir / "shuffle").as_posix() == object_key_for(
+                entry.execution_id, entry.partition_key, entry.instance_id)
             mapped += entry.count
         counters = json.loads((run_dir / "counters.json").read_text())
         assert mapped == counters["mapped"]

@@ -7,8 +7,9 @@ The package also imports no thread, process or event-loop module: its
 stores hold no locks because every call comes from one thread.  Its engine
 (scheduler, stores, runtime, kernels) imports no serialization module: values
 cross its layers as they are.  Handlers and shuffle adapters reach storage
-only through the ops they yield: every op name yielded in the package is in
-the runtime's op table, and the modules that hold them name no store.
+only through the ops they yield: every op name that the package yields or
+returns (the shuffle adapters build their writes and tombstones as values)
+is in the runtime's op table, and the modules that hold them name no store.
 """
 
 import ast
@@ -108,10 +109,11 @@ def test_engine_module_imports_no_serialization(name):
     assert banned_imports(source, SERIALIZATION_MODULES) == []
 
 
-def yielded_op_names(source: str) -> list[str]:
-    """The string literals at the head of the tuples that ``source`` yields."""
+def op_names(source: str) -> list[str]:
+    """The string literals at the head of the tuples that ``source`` yields or
+    returns."""
     return [node.value.elts[0].value for node in ast.walk(ast.parse(source))
-            if isinstance(node, ast.Yield) and isinstance(node.value, ast.Tuple)
+            if isinstance(node, (ast.Yield, ast.Return)) and isinstance(node.value, ast.Tuple)
             and node.value.elts and isinstance(node.value.elts[0], ast.Constant)
             and isinstance(node.value.elts[0].value, str)]
 
@@ -136,18 +138,20 @@ def test_checker_finds_yielded_ops_and_store_names():
               "    yield 5.0\n"
               "    yield ctx.clients.queue\n"
               "    yield (body, 'kv_put')\n"
+              "    if body:\n"
+              "        return (body, 'object_put')\n"
               "    return ('results_list', body)\n")
-    assert yielded_op_names(source) == ["object_get"]
+    assert sorted(op_names(source)) == ["object_get", "results_list"]
     assert names_in(source, STORE_NAMES | {"clients"}) == ["KvStore", "clients"]
 
 
 def test_every_yielded_op_is_in_the_op_table():
     table = StorageClients(DEFAULT_CALIBRATION, objects=ObjectStore(),
                            raw_objects=ObjectStore(), kv=KvStore(), queue=MessageQueue()).ops
-    yielded = {path.name: yielded_op_names(path.read_text(encoding="utf-8"))
-               for path in sorted(PACKAGE.glob("*.py"))}
-    assert yielded["pipeline.py"] and yielded["ports.py"]
-    assert {name: sorted(set(ops) - set(table)) for name, ops in yielded.items()
+    issued = {path.name: op_names(path.read_text(encoding="utf-8"))
+              for path in sorted(PACKAGE.glob("*.py"))}
+    assert issued["pipeline.py"] and issued["ports.py"]
+    assert {name: sorted(set(ops) - set(table)) for name, ops in issued.items()
             if set(ops) - set(table)} == {}
 
 

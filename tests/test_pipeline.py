@@ -45,7 +45,7 @@ from microreduce.storage import (
     ThrottlePolicy,
 )
 
-from conftest import drain, invoke, whole
+from conftest import apply, drain, invoke, whole
 
 EID = "7b8c1d84-e894-4969-83f3-72df58013200"
 
@@ -390,7 +390,7 @@ class TestReduceAggregate:
     def seed_entries(self, h, pk, parts):
         for i, (s, c) in enumerate(parts):
             iid = f"0000000{i}-0000-4000-8000-00000000000{i}"
-            drain(h.port.write_entry(ShuffleEntry(EID, pk, iid, s, c)), h.clients)
+            apply(h.port.write_op(ShuffleEntry(EID, pk, iid, s, c)), h.clients)
 
     def test_merge_example(self):
         h = make_harness()

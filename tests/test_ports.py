@@ -14,7 +14,7 @@ from microreduce.ports import (
 )
 from microreduce.runtime import StorageClients
 from microreduce.storage import KvStore, ObjectStore
-from conftest import drain, make_clients
+from conftest import apply, drain, make_clients
 
 EID = "0a632a0b-68c6-4875-9ba0-0f2bcd9bd556"
 IID = "61bfaa93-4392-4fb0-9e74-a92d4244db7b"
@@ -47,7 +47,7 @@ def test_entry_len_is_its_canonical_json_length(e):
 
 
 def test_object_key_layout():
-    key = object_key_for(entry())
+    key = object_key_for(EID, "AA", IID)
     assert key == f"{EID}/AA/{IID}.json"
 
 
@@ -56,7 +56,7 @@ def test_write_then_read_round_trips_bit_exact(kind):
     clients = make_clients()
     adapter = make_adapter(kind)
     written = entry(s=-17, c=3)
-    drain(adapter.write_entry(written), clients)
+    apply(adapter.write_op(written), clients)
     got = drain(adapter.read_partition(EID, "AA"), clients)
     assert got == [ShuffleEntry(EID, "AA", IID, -17, 3)]
 
@@ -72,17 +72,18 @@ def test_read_unknown_partition_empty(kind):
 def test_list_partitions_is_sorted_set(kind):
     adapter, clients = make_adapter(kind), make_clients()
     for pk, iid in (("UA", IID), ("AA", IID), ("AA", IID2)):
-        drain(adapter.write_entry(entry(pk=pk, iid=iid)), clients)
+        apply(adapter.write_op(entry(pk=pk, iid=iid)), clients)
     assert drain(adapter.list_partitions(EID), clients) == ["AA", "UA"]
 
 
 @pytest.mark.parametrize("kind", ["object", "kv"])
 def test_delete_instance_entries_tombstones_one_attempt(kind):
     adapter, clients = make_adapter(kind), make_clients()
-    drain(adapter.write_entry(entry(pk="AA", iid=IID)), clients)
-    drain(adapter.write_entry(entry(pk="BB", iid=IID)), clients)
-    drain(adapter.write_entry(entry(pk="AA", iid=IID2, s=99)), clients)
-    drain(adapter.delete_instance_entries(EID, IID, ["AA", "BB"]), clients)
+    apply(adapter.write_op(entry(pk="AA", iid=IID)), clients)
+    apply(adapter.write_op(entry(pk="BB", iid=IID)), clients)
+    apply(adapter.write_op(entry(pk="AA", iid=IID2, s=99)), clients)
+    for pk in ("AA", "BB"):
+        apply(adapter.delete_op(EID, IID, pk), clients)
     assert drain(adapter.read_partition(EID, "AA"), clients) == [
         entry(pk="AA", iid=IID2, s=99)]
     assert drain(adapter.read_partition(EID, "BB"), clients) == []
@@ -98,7 +99,7 @@ def test_adapters_are_observationally_equivalent():
     for kind in ("object", "kv"):
         adapter, clients = make_adapter(kind), make_clients()
         for e in workload:
-            drain(adapter.write_entry(e), clients)
+            apply(adapter.write_op(e), clients)
         views[kind] = {
             "partitions": drain(adapter.list_partitions(EID), clients),
             "AA": drain(adapter.read_partition(EID, "AA"), clients),
@@ -112,7 +113,7 @@ def test_kv_read_partition_union_matches_scan():
     clients = StorageClients(DEFAULT_CALIBRATION, kv=kv)
     adapter = KvShuffleAdapter()
     for pk, iid in (("AA", IID), ("BB", IID), ("AA", IID2)):
-        drain(adapter.write_entry(entry(pk=pk, iid=iid)), clients)
+        apply(adapter.write_op(entry(pk=pk, iid=iid)), clients)
     union = []
     for pk in drain(adapter.list_partitions(EID), clients):
         union.extend(drain(adapter.read_partition(EID, pk), clients))
@@ -122,8 +123,8 @@ def test_kv_read_partition_union_matches_scan():
 def test_object_adapter_stores_canonical_json():
     objects = ObjectStore()
     adapter = ObjectShuffleAdapter()
-    drain(adapter.write_entry(entry()), StorageClients(DEFAULT_CALIBRATION, objects=objects))
-    body = objects.get(object_key_for(entry()))
+    apply(adapter.write_op(entry()), StorageClients(DEFAULT_CALIBRATION, objects=objects))
+    body = objects.get(object_key_for(EID, "AA", IID))
     doc = json.loads(bytes(body))
     assert set(doc) == {"execution_id", "partition_key", "instance_id",
                         "delay_sum", "count"}

@@ -144,6 +144,31 @@ class TestRunJob:
         with pytest.raises(ValueError, match=field):
             ScenarioConfig.from_dict({field: doc_value})
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("files", 1.0),
+            ("ingest_threads", True),
+            ("ingest_memory_mb", 2048.0),
+            ("map_memory_mb", "128"),
+            ("reduce1_memory_mb", 10240.5),
+            ("reduce2_memory_mb", False),
+            ("batch_size", 2.5),
+            ("seed", 1.5),
+            ("seed", True),
+            ("gate_max_attempts", 2.5),
+            ("max_receives", 3.0),
+            ("ranking_limit", 0.5),
+            ("interleave_seed", 7.0),
+            ("interleave_seed", False),
+        ],
+    )
+    def test_non_integer_count_rejected_at_construction(self, field, value):
+        with pytest.raises(TypeError, match=f"{field} must be an int"):
+            scenario(**{"files": 1, field: value})
+        with pytest.raises(TypeError, match=f"{field} must be an int"):
+            ScenarioConfig.from_dict({field: value})
+
     def test_object_store_faults_stall_the_gate(self):
         raw, _ = small_dataset(files=1, rows=200)
         cfg = scenario(files=1, object_fault_rate=1.0, gate_max_attempts=8,
