@@ -22,11 +22,14 @@ That is what CPython's ``randrange`` and ``sample`` do for
 for call.  No draw is a Python call: a narrow site (at most 512 entries)
 reads a module-level table that holds its value, or its text where only
 the text is written, and None where ``randrange`` would draw again; the
-four wide sites and ``sample``'s two indices reject inline.  Delays
-still come from ``rng.gauss``, and each carrier block goes into the
-ledger in one write, just before its last row is yielded.  A row padded
-to ``row_pad_to_bytes`` gets its ``X`` padding right after its TailNum,
-whatever the carrier code holds.
+four wide sites and ``sample``'s two indices reject inline.  Every
+number but FlightNum and ArrDelay is written as its text from
+``_TEXT``.  Delays are ``Random.gauss``'s steps inline, on the same
+``rng.random()`` draws, with the pair's pending normal in a local; each
+carrier block goes into the ledger, and that normal back into
+``rng.gauss_next``, in one write just before the block's last row is
+yielded.  A row padded to ``row_pad_to_bytes`` gets its ``X`` padding
+right after its TailNum, whatever the carrier code holds.
 
 Parse has one line model: a line ends at ``\n`` and nowhere else.  A
 body with no ``"`` and no ``\r`` (every generated file) is split at
@@ -55,6 +58,7 @@ import math
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, islice, repeat
+from math import cos, log, sin, sqrt, tau
 from operator import contains
 from pathlib import Path
 from random import Random
@@ -331,6 +335,9 @@ class GenSpec:
                 raise TypeError(f"{name} must be an int, got {value!r}")
         if self.files < 1 or self.rows_per_file < 1:
             raise ValueError("files and rows_per_file must be positive")
+        fraction = self.invalid_fraction
+        if not isinstance(fraction, (int, float)) or isinstance(fraction, bool):
+            raise TypeError(f"invalid_fraction must be a real number, got {fraction!r}")
         if not 0.0 <= self.invalid_fraction < 1.0:
             raise ValueError("invalid_fraction must be in [0, 1)")
         if self.row_order not in ("clustered", "shuffled"):
@@ -454,6 +461,10 @@ _YEARS, _MONTHS, _DAYS, _DOWS = (_table(1988, 2009, True), _table(1, 13, True),
                                  _table(1, 29, True), _table(1, 8, True))
 _BLOCK_TIMES, _DEP_DELAYS, _AIR_GAPS = _table(45, 400), _table(-10, 60), _table(10, 40)
 _TAXI_INS, _TAXI_OUTS = _table(2, 15, True), _table(5, 30, True)
+#: ``_TEXT[i] == str(i)`` for -10 <= i < 2700 (a negative index reads
+#: from the end): the text of every number a row writes but FlightNum and
+#: ArrDelay, which can be wider.
+_TEXT = (*map(str, range(2700)), *map(str, range(-10, 0)))
 # ``sample(_ORIGINS, 2)`` draws a pool index, then one below the pool's
 # new length, after moving the last pool entry into the slot it took
 # first; ``_ROUTES[first][second]`` is the "Origin,Dest" text they give.
@@ -515,22 +526,26 @@ def _row_formatter(rng: Random, carrier: str, pad_to: int):
             dep_time = arr_time = arr_delay = air = ""
             cancelled_s, code = "1", "A"
         else:
-            dep_time = (crs_dep + dep_delay) % 2400
+            dep_time = _TEXT[(crs_dep + dep_delay) % 2400]
             arr_delay = "" if delay is None else delay
-            arr_time = (crs_arr + (delay or 0)) % 2400
+            arr_time = _TEXT[(crs_arr + (delay or 0)) % 2400]
             while (air_gap := _AIR_GAPS[getrandbits(5)]) is None:
                 pass
-            air = elapsed - air_gap
+            air = _TEXT[elapsed - air_gap]
             cancelled_s, code = "0", ""
         while (taxi_in := _TAXI_INS[getrandbits(4)]) is None:
             pass
         while (taxi_out := _TAXI_OUTS[getrandbits(5)]) is None:
             pass
-        head = (f"{year},{month},{day},{dow},{dep_time},{crs_dep},{arr_time},{crs_arr},"
-                f"{carrier},{flight_num + 1},N{tail_num + 100}{tail_suffix}")
-        rest = (f",{elapsed},{elapsed},{air},{arr_delay},{dep_delay},{_ROUTES[first][second]},"
-                f"{distance + 100},{taxi_in},{taxi_out},{cancelled_s},{code},0,0,0,0,0,0")
-        return head + "X" * (pad_to - 1 - len(head) - len(rest)) + rest
+        elapsed_s = _TEXT[elapsed]
+        head = (f"{year},{month},{day},{dow},{dep_time},{_TEXT[crs_dep]},{arr_time},"
+                f"{_TEXT[crs_arr]},{carrier},{flight_num + 1},N{_TEXT[tail_num + 100]}"
+                f"{tail_suffix}")
+        rest = (f",{elapsed_s},{elapsed_s},{air},{arr_delay},{_TEXT[dep_delay]},"
+                f"{_ROUTES[first][second]},{_TEXT[distance + 100]},{taxi_in},{taxi_out},"
+                f"{cancelled_s},{code},0,0,0,0,0,0")
+        # ljust pads without building the run of X on its own.
+        return head.ljust(pad_to - 1 - len(rest), "X") + rest
 
     return format_row
 
@@ -540,13 +555,15 @@ def _generate_rows(spec: GenSpec, rng: Random, ledger: GenLedger):
 
     A block's delays are summed in locals, and its ``(sum, count)``,
     invalid rows and total go into ``ledger`` just before its last row is
-    yielded, so the ledger is whole once the last row is out, whether or
-    not the generator is resumed.  The first invalid slot is half an
-    interval in, so a block's first row is valid and every block that
-    has rows adds its carrier.
+    yielded, with the pending normal of ``rng.gauss`` (kept in a local)
+    back in ``rng``, so the ledger and ``rng`` are whole once the last
+    row is out, whether or not the generator is resumed.  The first
+    invalid slot is half an interval in, so a block's first row is valid
+    and every block that has rows adds its carrier.
     """
     blocks = _apportion(spec.rows_per_file, [c.weight for c in spec.carriers])
-    gauss = rng.gauss
+    random = rng.random
+    gauss_next = rng.gauss_next  # the normal a last gauss() left pending
     for profile, block in zip(spec.carriers, blocks):
         if block == 0:
             continue
@@ -564,7 +581,17 @@ def _generate_rows(spec: GenSpec, rng: Random, ledger: GenLedger):
                 placed_invalid += 1
                 next_invalid += invalid_every
             else:
-                delay = round(gauss(mean, sigma))
+                # ``rng.gauss(mean, sigma)``, step for step (``tau`` is
+                # its ``TWOPI``): each pair of random() draws gives two
+                # normals, cos first.
+                if gauss_next is None:
+                    x2pi = random() * tau
+                    g2rad = sqrt(-2.0 * log(1.0 - random()))
+                    z = cos(x2pi) * g2rad
+                    gauss_next = sin(x2pi) * g2rad
+                else:
+                    z, gauss_next = gauss_next, None
+                delay = round(mean + z * sigma)
                 if delay < -60:
                     delay = -60
                 elif delay > 600:
@@ -576,6 +603,7 @@ def _generate_rows(spec: GenSpec, rng: Random, ledger: GenLedger):
                 ledger.carriers[profile.code] = (s + delay_sum, c + block - placed_invalid)
                 ledger.invalid += placed_invalid
                 ledger.total += block
+                rng.gauss_next = gauss_next
             yield row
 
 

@@ -575,7 +575,7 @@ class _IdleConsumer:
 
     def _sleep(self) -> None:
         deadline = self.source.queue.next_deadline()
-        if deadline is not None:
+        if deadline is not None and deadline < math.inf:  # an infinite one never expires
             self._schedule(self._tick_at_or_after(deadline))
         self.source._awaiting_send[self] = None
 

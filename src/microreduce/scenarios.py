@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -28,6 +29,8 @@ _SHUFFLE_ALIASES = {"s3": "object", "object": "object", "dynamodb": "kv", "kv": 
 _INT_FIELDS = ("files", "ingest_threads", "ingest_memory_mb", "map_memory_mb",
                "reduce1_memory_mb", "reduce2_memory_mb", "batch_size", "seed",
                "gate_max_attempts", "max_receives", "ranking_limit")
+_REAL_FIELDS = ("map_failure_rate", "object_fault_rate", "gate_poll_ms",
+                "visibility_timeout_ms")
 
 
 @dataclass(frozen=True)
@@ -61,6 +64,12 @@ class ScenarioConfig:
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise TypeError(f"{name} must be an int, got {value!r}")
+        for name in _REAL_FIELDS:
+            value = getattr(self, name)
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
+                raise TypeError(f"{name} must be a real number, got {value!r}")
+        if not isinstance(self.override_gate, bool):
+            raise TypeError(f"override_gate must be a bool, got {self.override_gate!r}")
         if self.files < 1:
             raise ValueError("files must be positive")
         if self.batch_size < 1:
@@ -86,6 +95,11 @@ class ScenarioConfig:
                      "max_receives", "ranking_limit"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        # An infinite poll interval parks the gate forever, and the queue
+        # scaler's tick keeps the run from ending.  An infinite visibility
+        # timeout is allowed: a message is then never redelivered.
+        if not math.isfinite(self.gate_poll_ms):
+            raise ValueError(f"gate_poll_ms must be finite, got {self.gate_poll_ms}")
         if self.throttle.enabled and not (self.throttle.sustained_ops_per_sec >= 0
                                           and self.throttle.burst_capacity >= 1):
             raise ValueError(

@@ -133,6 +133,18 @@ class TestRun:
         assert "bad scenario file: ranking_limit must be an int, got 0.5" in result.output
         assert not out.exists()
 
+    def test_scenario_file_with_a_string_flag_fails(self, runner, tmp_path):
+        scenario_path = tmp_path / "scenario.json"
+        scenario_path.write_text(json.dumps({"files": 1, "override_gate": "false"}),
+                                 encoding="utf-8")
+        (tmp_path / "data").mkdir()
+        out = tmp_path / "runs"
+        result = runner.invoke(main, ["run", "--scenario", str(scenario_path),
+                                      "--data", str(tmp_path / "data"), "--out", str(out)])
+        assert result.exit_code != 0
+        assert "bad scenario file: override_gate must be a bool, got 'false'" in result.output
+        assert not out.exists()
+
     def test_byte_identical_reruns(self, runner, tmp_path):
         data = generate_cli_data(runner, tmp_path)
         outs = []

@@ -4,7 +4,7 @@ import io
 import json
 import math
 import tracemalloc
-from itertools import islice
+from itertools import accumulate, islice
 from random import Random
 from typing import Optional
 from unittest import mock
@@ -625,6 +625,65 @@ def test_generator_matches_the_reference(spec, chunk_rows):
     assert _ledger_view(ledger) == _ledger_view(expected)
 
 
+# Blocks of 7 and 5 rows, so some block ends with one normal of a
+# gauss() pair still pending, with or without one pending before the
+# first row; the invalid rows change which block that is.
+_ODD_BLOCKS = (CarrierProfile("AA", 7 / 12, 8, 22), CarrierProfile("UA", 5 / 12, -3, 12.5))
+
+
+@pytest.mark.parametrize("invalid_fraction", [0.0, 0.3])
+@pytest.mark.parametrize("primed", [False, True], ids=["fresh", "primed"])
+def test_a_pending_normal_carries_across_block_ends(invalid_fraction, primed):
+    spec = GenSpec(files=2, rows_per_file=12, carriers=_ODD_BLOCKS,
+                   invalid_fraction=invalid_fraction, seed=28)
+    blocks = _apportion(spec.rows_per_file, [c.weight for c in spec.carriers])
+    assert blocks == [7, 5]
+    ends = set(accumulate(blocks))
+    ledger, reference = data.GenLedger(), _ReferenceLedger()
+    for i in range(spec.files):
+        rng, ref_rng = Random(spec.seed * 1_000_003 + i), Random(spec.seed * 1_000_003 + i)
+        if primed:
+            assert rng.gauss() == ref_rng.gauss()
+        rows = data._generate_rows(spec, rng, ledger)
+        ref_rows = _reference_generate_rows(spec, ref_rng, reference)
+        pending = []
+        for n in range(1, spec.rows_per_file + 1):
+            assert next(rows) == next(ref_rows)
+            if n in ends:
+                # The block's last row is out and the generator is not
+                # resumed: the pending normal is back in ``rng``.
+                pending.append(ref_rng.gauss_next is not None)
+                assert rng.getstate() == ref_rng.getstate()
+                assert _ledger_view(ledger) == _ledger_view(reference)
+        assert any(pending), "no block ends with a normal pending"
+
+
+def test_text_table_holds_every_number_written_through_it():
+    text = data._TEXT
+    assert len(text) == 2_710
+    assert all(text[i] == str(i) for i in range(-10, 2_700))
+
+    def drawn(table):
+        return [value for value in table if value is not None]
+
+    def span(start, width, _bits):
+        return [start, start + width - 1]
+
+    block_times, air_gaps = drawn(data._BLOCK_TIMES), drawn(data._AIR_GAPS)
+    written = {
+        # Each is taken modulo 2400.
+        "DepTime, ArrTime, CRSArrTime": [0, 2_399],
+        "CRSDepTime": span(*_CRS_DEP),
+        "TailNum digits": span(*_TAIL),
+        "Distance": span(*_DISTANCE),
+        "elapsed times": block_times,
+        "AirTime": [min(block_times) - max(air_gaps), max(block_times) - min(air_gaps)],
+        "DepDelay": drawn(data._DEP_DELAYS),
+    }
+    for site, values in written.items():
+        assert -10 <= min(values) and max(values) < 2_700, site
+
+
 def test_every_block_keeps_its_first_row_valid():
     # At an invalid_fraction near 1 a block has as many invalid slots as
     # rows, but the first slot is half an interval in, so no block is all
@@ -681,6 +740,11 @@ class TestGenerator:
         kwargs = {"files": 1, "rows_per_file": 10, field: value}
         with pytest.raises(TypeError, match=field):
             GenSpec(**kwargs)
+
+    @pytest.mark.parametrize("value", [False, True, "0.1", None])
+    def test_invalid_fraction_must_be_a_real_number(self, value):
+        with pytest.raises(TypeError, match="invalid_fraction must be a real number"):
+            GenSpec(files=1, rows_per_file=10, invalid_fraction=value)
 
     @pytest.mark.parametrize("field, value, error", [
         ("code", 5, TypeError), ("weight", True, TypeError), ("weight", "1", TypeError),

@@ -135,6 +135,8 @@ class TestRunJob:
             ("map_memory_mb", 64),
             ("reduce1_memory_mb", 20_000),
             ("reduce2_memory_mb", 64),
+            # Appended last so the index-based ids of the throttle cases stay put.
+            ("gate_poll_ms", float("inf")),
         ],
     )
     def test_out_of_range_config_rejected_at_construction(self, field, value):
@@ -168,6 +170,43 @@ class TestRunJob:
             scenario(**{"files": 1, field: value})
         with pytest.raises(TypeError, match=f"{field} must be an int"):
             ScenarioConfig.from_dict({field: value})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("map_failure_rate", True),
+            ("map_failure_rate", "0.5"),
+            ("object_fault_rate", False),
+            ("object_fault_rate", None),
+            ("gate_poll_ms", True),
+            ("visibility_timeout_ms", True),
+            ("visibility_timeout_ms", "30000"),
+            ("override_gate", "no"),
+            ("override_gate", "false"),
+            ("override_gate", 1),
+            ("override_gate", None),
+        ],
+    )
+    def test_mistyped_rate_time_or_flag_rejected_at_construction(self, field, value):
+        with pytest.raises(TypeError, match=field):
+            scenario(files=1, **{field: value})
+        with pytest.raises(TypeError, match=field):
+            ScenarioConfig.from_dict({field: value})
+
+    def test_infinite_visibility_timeout_never_redelivers(self):
+        raw, ledger = small_dataset(files=1, rows=300)
+        result = run_job(scenario(files=1, visibility_timeout_ms=float("inf")), raw)
+        assert result.status == "completed", result.reason
+        assert result.mapped == ledger.valid
+        # Every map attempt fails: each batch is tried once, and the gate
+        # stalls on its own clock instead of waiting for a redelivery.
+        cfg = scenario(files=1, map_failure_rate=1.0, gate_max_attempts=8,
+                       visibility_timeout_ms=float("inf"))
+        result = run_job(cfg, raw)
+        assert result.status == "stalled"
+        assert result.dlq_batches == 0
+        maps = [r for r in result.records if r.function == "map"]
+        assert len(maps) == result.records[0].result["batches_emitted"]
 
     def test_object_store_faults_stall_the_gate(self):
         raw, _ = small_dataset(files=1, rows=200)
